@@ -22,7 +22,6 @@ from .shaping import (
     rule_reward,
     shape_advantage,
     shape_from_metrics,
-    shape_trajectory,
 )
 from .spectral import Centering, SpectralSummary, effective_rank, spectral_summary
 from .tensor_io import (
@@ -31,7 +30,6 @@ from .tensor_io import (
     LowRank,
     MatrixKind,
     OrthogonalRows,
-    TrajectoryRecord,
     generate_synthetic,
     mean_pool_response,
     read_matrix,

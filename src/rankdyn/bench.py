@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import eval_steps
 from .gram_stream import GramStreamState
 from .tensor_io import GaussianIID, generate_synthetic
 
@@ -32,13 +33,9 @@ class BenchResult:
         return self.incremental_seconds / self.naive_seconds
 
 
-def _steps(rows: int, stride: int) -> list[int]:
-    return list(range(stride, rows + 1, stride))
-
-
 def naive_construction_seconds(data: np.ndarray, stride: int) -> float:
     start = time.perf_counter()
-    for step in _steps(data.shape[0], stride):
+    for step in eval_steps(data.shape[0], stride):
         prefix = data[:step]
         _ = prefix @ prefix.T
     return time.perf_counter() - start
@@ -47,7 +44,7 @@ def naive_construction_seconds(data: np.ndarray, stride: int) -> float:
 def incremental_construction_seconds(data: np.ndarray, stride: int) -> float:
     start = time.perf_counter()
     state = GramStreamState(data.shape[1])
-    for step in _steps(data.shape[0], stride):
+    for step in eval_steps(data.shape[0], stride):
         state.extend(data[step - stride : step])
     return time.perf_counter() - start
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import bench as benchmod
 from . import verify as verifymod
 from .dynamics import DEFAULT_STRIDE, Engine, trajectory_metrics
-from .errors import GroupTooSmall, ManifestError, RankdynError
+from .errors import GroupTooSmall, ManifestError, RankdynError, TrajectoryTooShort
 from .shaping import (
     EmaState,
     ShapingConfig,
@@ -51,14 +51,6 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def _centering(name: str) -> Centering:
-    return Centering.RAW if name == "raw" else Centering.ROW_MEAN_CENTERED
-
-
-def _engine(name: str) -> Engine:
-    return Engine.NAIVE_SVD if name == "naive" else Engine.INCREMENTAL_GRAM
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     paths = sorted(globlib.glob(args.input))
     if not paths:
@@ -70,7 +62,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         try:
             matrix = read_matrix(path)
             final_er, series = trajectory_metrics(
-                matrix, args.stride, _centering(args.center), _engine(args.engine)
+                matrix, args.stride, Centering(args.center), Engine(args.engine)
             )
             rows.append(
                 [
@@ -118,8 +110,8 @@ def cmd_shape(args: argparse.Namespace) -> int:
         epsilon=args.eps,
         gamma=args.gamma,
         stride=args.stride,
-        centering=_centering(args.center),
-        engine=_engine(args.engine),
+        centering=Centering(args.center),
+        engine=Engine(args.engine),
         literal_zero_init=args.literal_ema_init,
         pre_update_deviation=args.pre_update_deviation,
     )
@@ -145,26 +137,20 @@ def cmd_shape(args: argparse.Namespace) -> int:
     rows = []
     for entry, reward, a0 in zip(entries, rewards, base):
         matrix = read_matrix(entry.path)
-        final_er, series = trajectory_metrics(
-            matrix, config.stride, config.centering, config.engine
-        )
+        head = [Path(entry.path).stem, entry.group, _fmt(reward), _fmt(a0)]
+        try:
+            final_er, series = trajectory_metrics(
+                matrix, config.stride, config.centering, config.engine
+            )
+        except TrajectoryTooShort:
+            # No stride-aligned prefix: shaping is skipped and the EMA is left as is.
+            rows.append(head + [""] * 5 + [_fmt(a0)])
+            continue
         outcome, state = shape_from_metrics(
             final_er, series.velocity, series.acceleration, a0, state, config
         )
-        rows.append(
-            [
-                Path(entry.path).stem,
-                entry.group,
-                _fmt(reward),
-                _fmt(outcome.a0),
-                _fmt(outcome.d0),
-                _fmt(outcome.d1),
-                _fmt(outcome.d2),
-                _fmt(outcome.beta),
-                _fmt(outcome.phi),
-                _fmt(outcome.a_hat),
-            ]
-        )
+        shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
+        rows.append(head + [_fmt(v) for v in shaped])
     _write_csv(args.out, SHAPE_HEADER, rows)
     return 0
 

@@ -16,18 +16,20 @@ K >= 3). For the exactly linear series m_n = n these reduce to (N+2)/4 and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SeriesTooShort, TrajectoryTooShort
-from .spectral import Centering, effective_rank
-from .tensor_io import HiddenStateMatrix, MatrixKind
+from .spectral import Centering, center, effective_rank, summary_from_singular_values
+from .tensor_io import HiddenStateMatrix
 
 DEFAULT_STRIDE = 40
 
 
 class Engine(enum.Enum):
+    # "naive" is the CLI spelling; it runs the exact factor engine below.
     NAIVE_SVD = "naive"
     INCREMENTAL_GRAM = "incremental"
 
@@ -94,6 +96,52 @@ def series_from_values(values: np.ndarray, stride: int, steps: list[int]) -> Met
     )
 
 
+def factor_prefix_eranks(
+    data: np.ndarray, steps: list[int], centering: Centering, final: bool = False
+) -> tuple[np.ndarray, float | None]:
+    """Exact effective rank of each prefix data[:t], t in the increasing steps,
+    and of all of data when `final` is set, from small triangular factors
+    instead of an SVD of every prefix.
+
+    Prefixes with t <= D: one QR of data[:m].T, m = min(T, D), gives a
+    lower-triangular L with data[:m] = L Q^T, so data[:t] has the singular
+    values of L[:t, :t]. Row-mean centering commutes with Q^T, so centered
+    mode centers that block.
+
+    Longer prefixes stream a D-by-D R factor over the rows between consecutive
+    ends, R <- qr([R; chunk]) as in TSQR (Demmel et al., SISC 2012). Centered
+    mode merges each chunk about its own mean plus one mean-shift row weighted
+    sqrt(n*b/(n+b)), the pairwise update of Chan, Golub & LeVeque (1979). No
+    Gram matrix is formed and no raw moments are subtracted, so the values
+    keep the accuracy of an SVD of each prefix.
+    """
+    rows, dims = data.shape
+    ends = [*steps, rows] if final else list(steps)
+    if ends[0] <= dims:
+        # Factor all min(T, D) rows whatever `final` says, so both callers
+        # get bit-identical prefix values.
+        lower = np.linalg.qr(data[: min(rows, dims)].T, mode="r").T
+    eranks = []
+    factor, count, mean = np.empty((0, dims)), 0, np.zeros(dims)
+    for t in ends:
+        if t <= dims:
+            block = center(lower[:t, :t], centering)
+        else:
+            chunk = data[count:t]
+            if centering is Centering.ROW_MEAN_CENTERED:
+                b = t - count
+                chunk_mean = chunk.mean(axis=0)
+                shift = math.sqrt(count * b / t) * (chunk_mean - mean)
+                chunk = np.vstack([chunk - chunk_mean, shift])
+                mean = mean + (chunk_mean - mean) * (b / t)
+            factor = block = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
+            count = t
+        sigma = np.linalg.svd(block, compute_uv=False)
+        eranks.append(summary_from_singular_values(sigma).effective_rank)
+    final_er = eranks.pop() if final else None
+    return np.array(eranks), final_er
+
+
 def prefix_metric_series(
     matrix: HiddenStateMatrix,
     stride: int = DEFAULT_STRIDE,
@@ -107,14 +155,7 @@ def prefix_metric_series(
 
         values = stream_prefix_eranks(matrix, stride, centering)
     else:
-        values = np.array(
-            [
-                effective_rank(
-                    HiddenStateMatrix(matrix.data[:step], MatrixKind.RESPONSE), centering
-                )
-                for step in steps
-            ]
-        )
+        values, _ = factor_prefix_eranks(matrix.data, steps, centering)
     return series_from_values(values, stride, steps)
 
 
@@ -127,7 +168,11 @@ def trajectory_metrics(
     """(final full-matrix effective rank, prefix metric series).
 
     The final metric always uses all T rows, even the tail beyond the last
-    stride-aligned step.
+    stride-aligned step. The factor engine folds it into the same pass.
     """
-    series = prefix_metric_series(matrix, stride, centering, engine)
-    return effective_rank(matrix, centering), series
+    if engine is Engine.INCREMENTAL_GRAM:
+        series = prefix_metric_series(matrix, stride, centering, engine)
+        return effective_rank(matrix, centering), series
+    steps = eval_steps(matrix.rows, stride)
+    values, final_er = factor_prefix_eranks(matrix.data, steps, centering, final=True)
+    return final_er, series_from_values(values, stride, steps)

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DEFAULT_STRIDE, Engine, MetricSeries
+from .dynamics import DEFAULT_STRIDE, Engine
 from .errors import GroupTooSmall
 from .spectral import Centering
-from .tensor_io import TrajectoryRecord
 
 METRICS = ("er", "erv", "era")
 
@@ -208,24 +207,4 @@ def shape_from_metrics(
     return (
         ShapingOutcome(d0, d1, d2, beta, w_explore, w_exploit, phi, a0, a_hat),
         state,
-    )
-
-
-def shape_trajectory(
-    record: TrajectoryRecord,
-    final_er: float,
-    series: MetricSeries,
-    state: EmaState,
-    config: ShapingConfig,
-) -> tuple[ShapingOutcome, EmaState]:
-    """Shape one trajectory's advantage from its metric series."""
-    if record.base_advantage is None:
-        raise ValueError(f"record {record.id!r} has no base advantage")
-    return shape_from_metrics(
-        final_er,
-        series.velocity,
-        series.acceleration,
-        record.base_advantage,
-        state,
-        config,
     )

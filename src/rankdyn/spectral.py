@@ -36,7 +36,7 @@ class SpectralSummary:
     conventional_rank: int
 
 
-def _center(data: np.ndarray, centering: Centering) -> np.ndarray:
+def center(data: np.ndarray, centering: Centering) -> np.ndarray:
     if centering is Centering.RAW:
         return data
     if data.shape[0] < 2:
@@ -66,7 +66,7 @@ def spectral_summary(
     matrix: HiddenStateMatrix, centering: Centering = Centering.RAW
 ) -> SpectralSummary:
     """Thin-SVD spectral summary of the (optionally centered) matrix."""
-    data = _center(matrix.data, centering)
+    data = center(matrix.data, centering)
     sigma = np.linalg.svd(data, compute_uv=False)
     return summary_from_singular_values(sigma)
 

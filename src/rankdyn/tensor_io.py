@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    FormatError,
     InfeasibleSpec,
     NonFiniteValue,
     TruncatedPayload,
@@ -69,21 +70,6 @@ class HiddenStateMatrix:
         return self.data.shape[1]
 
 
-@dataclass
-class TrajectoryRecord:
-    """One rollout: its hidden states plus the reward/advantage sidecar."""
-
-    id: str
-    matrix: HiddenStateMatrix
-    is_correct: bool
-    has_boxed_format: bool
-    base_advantage: float | None = None
-
-    def __post_init__(self):
-        if self.matrix.kind is not MatrixKind.RESPONSE:
-            raise DimensionMismatch("TrajectoryRecord requires a Response-kind matrix")
-
-
 def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64") -> None:
     """Serialize a matrix to the HSMX format. dtype is 'f64' or 'f32'."""
     if dtype not in ("f64", "f32"):
@@ -114,6 +100,8 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         raise UnsupportedVersion(f"unknown dtype flag {dtype_flag}", offset=8)
     if kind_flag not in (0, 1):
         raise UnsupportedVersion(f"unknown kind flag {kind_flag}", offset=9)
+    if reserved != 0:
+        raise FormatError(f"reserved field is {reserved}, expected 0", offset=10)
     itemsize = 8 if dtype_flag == 0 else 4
     expected = rows * cols * itemsize
     got = len(raw) - HEADER_SIZE
@@ -121,6 +109,11 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         raise TruncatedPayload(
             f"payload holds {got // itemsize} scalars, header declares {rows * cols}",
             offset=len(raw),
+        )
+    if got > expected:
+        raise FormatError(
+            f"{got - expected} trailing bytes after the payload",
+            offset=HEADER_SIZE + expected,
         )
     np_dtype = np.dtype("<f8") if dtype_flag == 0 else np.dtype("<f4")
     flat = np.frombuffer(raw, dtype=np_dtype, count=rows * cols, offset=HEADER_SIZE)

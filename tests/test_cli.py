@@ -3,7 +3,17 @@ import csv
 import numpy as np
 import pytest
 
-from rankdyn import GaussianIID, HiddenStateMatrix, generate_synthetic, read_matrix, write_matrix
+from rankdyn import (
+    EmaState,
+    GaussianIID,
+    HiddenStateMatrix,
+    ShapingConfig,
+    generate_synthetic,
+    read_matrix,
+    shape_from_metrics,
+    trajectory_metrics,
+    write_matrix,
+)
 from rankdyn.cli import main, parse_generator_spec, read_manifest
 from rankdyn.errors import GroupTooSmall, ManifestError
 from rankdyn.tensor_io import OrthogonalRows
@@ -111,6 +121,33 @@ def test_shape_degenerate_group_zero_advantages(tmp_path):
         assert float(r[9]) == 0.0  # a_hat: zero base advantage earns zero bonus
 
 
+def test_shape_short_rollout_skipped_not_fatal(tmp_path):
+    # t1 has T <= stride: no prefix, so its row keeps a_hat = a0 and the EMA
+    # only sees t0 and t2, exactly as if t1 were absent from the run.
+    lines = []
+    for i, rows in enumerate([96, 8, 96]):
+        path = tmp_path / f"t{i}.hsmx"
+        write_trajectory(path, rows, 8, seed=i)
+        lines.append(f"{path},g0,{i % 2},1")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("\n".join(lines))
+    out = tmp_path / "s.csv"
+    assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8"]) == 0
+    rows = read_csv(out)
+    assert [r[0] for r in rows[1:]] == ["t0", "t1", "t2"]
+    short = rows[2]
+    assert short[4:9] == [""] * 5 and short[9] == short[3] and float(short[3]) != 0.0
+    config = ShapingConfig(stride=8)
+    state = EmaState()
+    for i in (0, 2):
+        final_er, series = trajectory_metrics(read_matrix(tmp_path / f"t{i}.hsmx"), 8)
+        outcome, state = shape_from_metrics(
+            final_er, series.velocity, series.acceleration, float(rows[i + 1][3]), state, config
+        )
+    shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
+    assert rows[3][4:] == [format(v, ".17g") for v in shaped]
+
+
 def test_shape_group_size_mismatch(tmp_path):
     manifest = make_manifest(tmp_path, n_groups=1, group_size=3)
     assert (
@@ -161,7 +198,8 @@ def test_bench_command_small_grid(tmp_path, capsys):
 
 def test_bench_single_prefix_ratio_near_one(tmp_path):
     out = tmp_path / "b.csv"
-    assert main(["bench", "--grid", "T=512;D=64;s=512", "--repeats", "5", "--out", str(out)]) == 0
+    # 513 rows at stride 512: eval_steps gives the single prefix t=512
+    assert main(["bench", "--grid", "T=513;D=64;s=512", "--repeats", "5", "--out", str(out)]) == 0
     ratio = float(read_csv(out)[1][5])
     assert 0.5 <= ratio <= 2.0  # no incremental advantage with one chunk
 

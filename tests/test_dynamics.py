@@ -12,7 +12,9 @@ from rankdyn import (
     trajectory_metrics,
 )
 from rankdyn.dynamics import eval_steps, instantaneous_deltas, series_from_values
-from rankdyn.errors import SeriesTooShort, TrajectoryTooShort
+from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TooFewRows, TrajectoryTooShort
+from rankdyn.spectral import Centering, effective_rank
+from rankdyn.verify import FIXTURES, hard_fixture, prefix_svd_oracle
 
 
 def test_eval_step_arithmetic():
@@ -117,3 +119,54 @@ def test_final_metric_covers_trailing_tokens():
     assert series.eval_steps == (40,)
     # the final metric is computed on all 50 rows, not the 40-row prefix
     assert final_er != pytest.approx(series.prefix_values[0])
+
+
+# (T, D, stride): T < D, T = D and T > D; prefixes that cross D; stride 1;
+# strides that divide T; T > D with every prefix at most D (only the final
+# metric streams), and with every prefix longer than D.
+ORACLE_SHAPES = [
+    (17, 24, 1), (17, 24, 4), (24, 24, 1), (24, 24, 4), (61, 24, 5), (64, 24, 1),
+    (64, 24, 8), (26, 24, 8), (61, 24, 30),
+]
+ORACLE_CASES = [
+    (shape, centering)
+    for shape in ORACLE_SHAPES
+    for centering in Centering
+    # a one-row prefix cannot be centered; test_factor_engine_errors covers it
+    if shape[2] > 1 or centering is Centering.RAW
+]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("shape,centering", ORACLE_CASES)
+def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
+    rows, dims, stride = shape
+    matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
+    final_er, series = trajectory_metrics(matrix, stride, centering)
+    oracle = prefix_svd_oracle(matrix, stride, centering)
+    expected = series_from_values(oracle, stride, eval_steps(rows, stride))
+    assert series.eval_steps == expected.eval_steps
+    np.testing.assert_allclose(series.prefix_values, oracle, rtol=1e-10, atol=0)
+    assert final_er == pytest.approx(effective_rank(matrix, centering), rel=1e-10, abs=0)
+    scale = oracle.max()
+    pairs = [(series.velocity, expected.velocity), (series.acceleration, expected.acceleration)]
+    for got, want in pairs:
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-10 * scale
+    # prefix_metric_series runs the same engine without the final metric
+    alone = prefix_metric_series(matrix, stride, centering)
+    np.testing.assert_array_equal(alone.prefix_values, series.prefix_values)
+
+
+def test_factor_engine_errors():
+    matrix = hard_fixture("gaussian", 30, 8, seed=0)
+    with pytest.raises(TrajectoryTooShort):
+        trajectory_metrics(matrix, stride=30)
+    for engine_call in (trajectory_metrics, prefix_metric_series):
+        with pytest.raises(TooFewRows):  # the first stride-1 prefix is one row
+            engine_call(matrix, 1, Centering.ROW_MEAN_CENTERED)
+    for rows in (6, 30):  # T <= D and T > D
+        for centering in Centering:
+            with pytest.raises(DegenerateMatrix):
+                trajectory_metrics(HiddenStateMatrix(np.zeros((rows, 8))), 2, centering)

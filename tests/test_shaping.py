@@ -213,26 +213,20 @@ def test_two_trajectory_hand_trace_pre_update():
 
 
 def test_shape_trajectory_end_to_end():
-    from rankdyn import (
-        GaussianIID,
-        TrajectoryRecord,
-        generate_synthetic,
-        shape_trajectory,
-        trajectory_metrics,
-    )
+    from rankdyn import GaussianIID, generate_synthetic, trajectory_metrics
 
     config = ShapingConfig(stride=8)
     state = EmaState()
     for seed, a0 in [(0, 0.5), (1, -0.5)]:
         matrix = generate_synthetic(GaussianIID(96, 8), seed)
-        record = TrajectoryRecord(f"t{seed}", matrix, True, True, base_advantage=a0)
         final_er, series = trajectory_metrics(matrix, config.stride)
-        outcome, state = shape_trajectory(record, final_er, series, state, config)
+        outcome, state = shape_from_metrics(
+            final_er, series.velocity, series.acceleration, a0, state, config
+        )
+        assert outcome.shaped
         assert outcome.a0 == a0
         assert 0.0 <= outcome.a_hat - a0 <= abs(a0) / config.kappa
-    record = TrajectoryRecord("no-adv", matrix, True, True)
-    with pytest.raises(ValueError):
-        shape_trajectory(record, final_er, series, state, config)
+    assert state.observations == {"er": 2, "erv": 2, "era": 2}
 
 
 def test_ema_sequence_determinism():

@@ -18,6 +18,7 @@ from rankdyn import (
 from rankdyn.errors import (
     BadMagic,
     DimensionMismatch,
+    FormatError,
     InfeasibleSpec,
     NonFiniteValue,
     TruncatedPayload,
@@ -79,6 +80,26 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(raw[: HEADER_SIZE + 15 * 8])  # 15 of 16 scalars
     with pytest.raises(TruncatedPayload):
         read_matrix(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(np.ones((4, 4))), path, dtype="f32")
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(FormatError) as exc:
+        read_matrix(path)
+    assert exc.value.offset == HEADER_SIZE + 16 * 4
+
+
+def test_nonzero_reserved_field_rejected(tmp_path):
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(np.ones((2, 2))), path)
+    raw = bytearray(path.read_bytes())
+    raw[11] = 1
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as exc:
+        read_matrix(path)
+    assert exc.value.offset == 10
 
 
 def test_non_finite_payload(tmp_path):
