@@ -29,9 +29,9 @@ DEFAULT_STRIDE = 40
 
 
 class Engine(enum.Enum):
-    # "naive" is the CLI spelling; it runs the exact factor engine below.
-    NAIVE_SVD = "naive"
+    FACTOR = "naive"
     INCREMENTAL_GRAM = "incremental"
+    NAIVE_SVD = FACTOR  # former name of FACTOR, still spelled so in perfbench/
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,9 @@ class MetricSeries:
     deltas: np.ndarray  # empty when K < 2
     velocity: float | None  # defined iff K >= 2
     acceleration: float | None  # defined iff K >= 3
+    # m-by-m, m = min(T, D): the singular values of the whole (centered)
+    # trajectory, for the final metric; None from the incremental engine.
+    factor: np.ndarray | None = None
 
 
 def eval_steps(rows: int, stride: int) -> list[int]:
@@ -81,7 +84,9 @@ def second_order_difference(prefix_values: np.ndarray) -> float:
     return float(np.diff(deltas).mean())
 
 
-def series_from_values(values: np.ndarray, stride: int, steps: list[int]) -> MetricSeries:
+def series_from_values(
+    values: np.ndarray, stride: int, steps: list[int], factor: np.ndarray | None = None
+) -> MetricSeries:
     values = np.asarray(values, dtype=np.float64)
     deltas = instantaneous_deltas(values)
     velocity = float(deltas.mean()) if deltas.size >= 1 else None
@@ -93,20 +98,20 @@ def series_from_values(values: np.ndarray, stride: int, steps: list[int]) -> Met
         deltas=deltas,
         velocity=velocity,
         acceleration=acceleration,
+        factor=factor,
     )
 
 
 def factor_prefix_eranks(
-    data: np.ndarray, steps: list[int], centering: Centering, final: bool = False
-) -> tuple[np.ndarray, float | None]:
+    data: np.ndarray, steps: list[int], centering: Centering
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact effective rank of each prefix data[:t], t in the increasing steps,
-    and of all of data when `final` is set, from small triangular factors
-    instead of an SVD of every prefix.
+    from small triangular factors instead of an SVD of every prefix, plus an
+    m-by-m factor, m = min(T, D), of all of the (centered) data.
 
-    Prefixes with t <= D: one QR of data[:m].T, m = min(T, D), gives a
-    lower-triangular L with data[:m] = L Q^T, so data[:t] has the singular
-    values of L[:t, :t]. Row-mean centering commutes with Q^T, so centered
-    mode centers that block.
+    Prefixes with t <= D: one QR of data[:m].T gives a lower-triangular L
+    with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
+    Row-mean centering commutes with Q^T, so centered mode centers that block.
 
     Longer prefixes stream a D-by-D R factor over the rows between consecutive
     ends, R <- qr([R; chunk]) as in TSQR (Demmel et al., SISC 2012). Centered
@@ -116,14 +121,11 @@ def factor_prefix_eranks(
     keep the accuracy of an SVD of each prefix.
     """
     rows, dims = data.shape
-    ends = [*steps, rows] if final else list(steps)
-    if ends[0] <= dims:
-        # Factor all min(T, D) rows whatever `final` says, so both callers
-        # get bit-identical prefix values.
+    if steps[0] <= dims:
         lower = np.linalg.qr(data[: min(rows, dims)].T, mode="r").T
     eranks = []
     factor, count, mean = np.empty((0, dims)), 0, np.zeros(dims)
-    for t in ends:
+    for t in [*steps, rows]:
         if t <= dims:
             block = center(lower[:t, :t], centering)
         else:
@@ -136,43 +138,42 @@ def factor_prefix_eranks(
                 mean = mean + (chunk_mean - mean) * (b / t)
             factor = block = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
             count = t
-        sigma = np.linalg.svd(block, compute_uv=False)
-        eranks.append(summary_from_singular_values(sigma).effective_rank)
-    final_er = eranks.pop() if final else None
-    return np.array(eranks), final_er
+        if t < rows:
+            sigma = np.linalg.svd(block, compute_uv=False)
+            eranks.append(summary_from_singular_values(sigma).effective_rank)
+    return np.array(eranks), block
 
 
 def prefix_metric_series(
     matrix: HiddenStateMatrix,
     stride: int = DEFAULT_STRIDE,
     centering: Centering = Centering.RAW,
-    engine: Engine = Engine.NAIVE_SVD,
+    engine: Engine = Engine.FACTOR,
 ) -> MetricSeries:
     """Effective rank on every stride-aligned prefix, plus its differences."""
     steps = eval_steps(matrix.rows, stride)
     if engine is Engine.INCREMENTAL_GRAM:
         from .gram_stream import stream_prefix_eranks
 
-        values = stream_prefix_eranks(matrix, stride, centering)
+        values, factor = stream_prefix_eranks(matrix, stride, centering), None
     else:
-        values, _ = factor_prefix_eranks(matrix.data, steps, centering)
-    return series_from_values(values, stride, steps)
+        values, factor = factor_prefix_eranks(matrix.data, steps, centering)
+    return series_from_values(values, stride, steps, factor)
 
 
 def trajectory_metrics(
     matrix: HiddenStateMatrix,
     stride: int = DEFAULT_STRIDE,
     centering: Centering = Centering.RAW,
-    engine: Engine = Engine.NAIVE_SVD,
+    engine: Engine = Engine.FACTOR,
 ) -> tuple[float, MetricSeries]:
     """(final full-matrix effective rank, prefix metric series).
 
     The final metric always uses all T rows, even the tail beyond the last
-    stride-aligned step. The factor engine folds it into the same pass.
+    stride-aligned step.
     """
-    if engine is Engine.INCREMENTAL_GRAM:
-        series = prefix_metric_series(matrix, stride, centering, engine)
-        return effective_rank(matrix, centering), series
-    steps = eval_steps(matrix.rows, stride)
-    values, final_er = factor_prefix_eranks(matrix.data, steps, centering, final=True)
-    return final_er, series_from_values(values, stride, steps)
+    series = prefix_metric_series(matrix, stride, centering, engine)
+    if series.factor is not None:
+        # Already centered, and it holds the tail rows as well.
+        matrix, centering = HiddenStateMatrix(series.factor), Centering.RAW
+    return effective_rank(matrix, centering), series

@@ -84,7 +84,7 @@ class ShapingConfig:
     gamma: float = 0.9
     stride: int = DEFAULT_STRIDE
     centering: Centering = Centering.RAW
-    engine: Engine = Engine.NAIVE_SVD
+    engine: Engine = Engine.FACTOR
     literal_zero_init: bool = False
     pre_update_deviation: bool = False
 
@@ -138,7 +138,11 @@ def shape_advantage(a0: float, phi: float, kappa: float) -> float:
     """Add phi as a non-negative bonus clipped at |a0|/kappa."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return a0 + min(max(0.0, phi), abs(a0) / kappa)
+    a_hat = a0 + min(max(0.0, phi), abs(a0) / kappa)
+    if a0 < 0.0 and kappa > 1.0:
+        # At subnormal |a0| the rounded cap can reach |a0|; keep the sign.
+        a_hat = min(a_hat, -math.ulp(0.0))
+    return a_hat
 
 
 def grpo_group_advantage(rewards: list[float]) -> list[float]:

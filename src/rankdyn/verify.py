@@ -135,7 +135,7 @@ def suite_engine_equivalence(seed: int = 0, count: int = 200) -> tuple[bool, str
         mode = Centering.ROW_MEAN_CENTERED if centered else Centering.RAW
         for engine, bound, matrix, centering in [
             (Engine.INCREMENTAL_GRAM, 1e-8, gaussian, Centering.RAW),
-            (Engine.NAIVE_SVD, 1e-10, hard, mode),
+            (Engine.FACTOR, 1e-10, hard, mode),
         ]:
             values = prefix_metric_series(matrix, stride, centering, engine).prefix_values
             oracle = prefix_svd_oracle(matrix, stride, centering)

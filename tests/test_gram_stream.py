@@ -141,7 +141,7 @@ def test_single_prefix_equals_one_shot():
 def test_stream_matches_naive_series(stride):
     rng = np.random.default_rng(8 + stride)
     matrix = HiddenStateMatrix(rng.standard_normal((max(64, stride * 3 + 1), 8)))
-    naive = prefix_metric_series(matrix, stride, engine=Engine.NAIVE_SVD)
+    naive = prefix_metric_series(matrix, stride, engine=Engine.FACTOR)
     streamed = stream_prefix_eranks(matrix, stride)
     np.testing.assert_allclose(streamed, naive.prefix_values, rtol=1e-8)
 
@@ -151,7 +151,7 @@ def test_stream_matches_naive_series_centered(stride):
     rng = np.random.default_rng(30 + stride)
     matrix = HiddenStateMatrix(rng.standard_normal((65, 6)))
     naive = prefix_metric_series(
-        matrix, stride, Centering.ROW_MEAN_CENTERED, Engine.NAIVE_SVD
+        matrix, stride, Centering.ROW_MEAN_CENTERED, Engine.FACTOR
     )
     streamed = stream_prefix_eranks(matrix, stride, Centering.ROW_MEAN_CENTERED)
     np.testing.assert_allclose(streamed, naive.prefix_values, rtol=1e-8)

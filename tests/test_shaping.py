@@ -80,6 +80,9 @@ def test_shape_advantage_hand_examples():
     assert shape_advantage(1.0, 0.9, 2.0) == pytest.approx(1.5)
     assert shape_advantage(-0.6, 0.2, 2.0) == pytest.approx(-0.4)
     assert shape_advantage(0.0, 0.9, 2.0) == 0.0
+    # the smallest subnormal: its rounded cap |a0|/kappa equals |a0|
+    assert shape_advantage(-5e-324, 1.0, 1.5) == -5e-324
+    assert shape_advantage(-1e-323, 1.0, 1.1) == -5e-324
 
 
 @settings(max_examples=300, deadline=None)
