@@ -11,14 +11,21 @@ Subcommands::
 Manifest format: one record per line, `path,group_id,is_correct(0|1),has_boxed(0|1)`,
 `#` starts a comment. Floats are rendered with 17 significant digits so CSVs
 round-trip doubles bit-exactly.
+
+`metrics` and `shape` run each trajectory's metrics on forked workers
+(`metric_phase`), then GRPO, the EMA, shaping and the CSV write in order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import glob as globlib
+import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,34 +58,117 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
+def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine) -> tuple:
+    """Metric phase of one trajectory: (values, read seconds, metric seconds).
+
+    values is (T, D, er, erv, era), or (error type name, message) for a
+    RankdynError. Only plain values go back: the MetricSeries factor can reach
+    megabytes, and a Pool that cannot unpickle an exception (FormatError takes
+    an offset) waits forever.
+    """
+    clock = [time.perf_counter()]
+    try:
+        matrix = read_matrix(path)
+        clock.append(time.perf_counter())
+        final_er, series = trajectory_metrics(matrix, stride, centering, engine)
+        values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
+    except RankdynError as exc:
+        values = (type(exc).__name__, str(exc))
+    clock.append(time.perf_counter())
+    return values, clock[1] - clock[0], clock[-1] - clock[1]
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Pin the OpenBLAS that numpy loaded to one thread, and restore its old
+    count on exit. Yields False, pinning nothing, when none is found."""
+    import ctypes
+
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    libs = sorted({ln.split()[-1] for ln in lines if "openblas" in ln and ".so" in ln})
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            setter, getter = (getattr(lib, name.format(op), None) for op in ("set", "get"))
+            if setter and getter:
+                setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
+                old = getter()
+                setter(1)
+                try:
+                    yield True
+                finally:
+                    setter(old)
+                return
+    yield False
+
+
+def metric_phase(
+    paths: list[str], stride: int, centering: Centering, engine: Engine
+) -> tuple[list[tuple], dict]:
+    """trajectory_job over every path, in input order, plus its run report.
+
+    One worker per usable CPU and trajectory at most, forked: a spawned one
+    would import numpy anew. BLAS runs on one thread on every path, so no float
+    depends on the worker count; with no known BLAS to pin, all runs in-process.
+    """
+    start = time.perf_counter()
+    job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
+    with single_threaded_blas() as pinned:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(cpus or 1, len(paths)) if pinned else 1
+        if workers == 1:
+            results = [job(path) for path in paths]
+        else:
+            import multiprocessing
+
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = list(pool.imap(job, paths, chunksize=1))
+    errors = [values[0] for values, _, _ in results if len(values) == 2]
+    report = {
+        "engine": engine.value,
+        "workers": workers,
+        "blas_pinned": pinned,
+        "metric_phase_s": time.perf_counter() - start,
+        "stage_s": {"read": sum(r[1] for r in results), "metrics": sum(r[2] for r in results)},
+        "errors": {name: errors.count(name) for name in sorted(set(errors))},
+    }
+    return [r[0] for r in results], report
+
+
+def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], report: dict,
+            start: float, skipped: int = 0) -> int:
+    """Write the CSV, then the --stats JSON report beside it. Of the metric
+    phase's errors, `skipped` rows were kept without metrics, not failed."""
+    write_start = time.perf_counter()
+    _write_csv(args.out, header, rows)
+    if args.stats:
+        import json
+
+        failed = sum(report["errors"].values())
+        report["rows"] = {"ok": len(rows) - failed, "skipped": skipped, "error": failed - skipped}
+        report["stage_s"]["write"] = time.perf_counter() - write_start
+        report["wall_s"] = time.perf_counter() - start
+        Path(args.stats).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     paths = sorted(globlib.glob(args.input))
     if not paths:
         print(f"error: no files match {args.input!r}", file=sys.stderr)
         return 2
+    results, report = metric_phase(
+        paths, args.stride, Centering(args.center), Engine(args.engine)
+    )
     rows = []
-    for path in paths:
+    for path, values in zip(paths, results):
         ident = Path(path).stem
-        try:
-            matrix = read_matrix(path)
-            final_er, series = trajectory_metrics(
-                matrix, args.stride, Centering(args.center), Engine(args.engine)
-            )
-            rows.append(
-                [
-                    ident,
-                    str(matrix.rows),
-                    str(matrix.cols),
-                    _fmt(final_er),
-                    _fmt(series.velocity),
-                    _fmt(series.acceleration),
-                    "",
-                ]
-            )
-        except RankdynError as exc:
-            rows.append([ident, "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
-    _write_csv(args.out, METRICS_HEADER, rows)
-    return 0
+        if len(values) == 2:  # (error type name, message)
+            rows.append([ident, "", "", "", "", "", "{}: {}".format(*values)])
+        else:
+            rows.append([ident, str(values[0]), str(values[1]), *map(_fmt, values[2:]), ""])
+    return _finish(args, METRICS_HEADER, rows, report, start)
 
 
 @dataclass
@@ -105,16 +195,17 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def cmd_shape(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     config = ShapingConfig(
         kappa=args.kappa,
         epsilon=args.eps,
-        gamma=args.gamma,
         stride=args.stride,
         centering=Centering(args.center),
         engine=Engine(args.engine),
-        literal_zero_init=args.literal_ema_init,
         pre_update_deviation=args.pre_update_deviation,
     )
+    # EMA baselines evolve in manifest order across the whole run.
+    state = EmaState(gamma=args.gamma, literal_zero_init=args.literal_ema_init)
     entries = read_manifest(args.manifest)
 
     # Rewards and group-relative base advantages, grouped by prompt id.
@@ -132,27 +223,25 @@ def cmd_shape(args: argparse.Namespace) -> int:
         for i, adv in zip(members, advantages):
             base[i] = adv
 
-    # EMA evolves in manifest order across the whole run.
-    state = EmaState(gamma=config.gamma, literal_zero_init=config.literal_zero_init)
+    results, report = metric_phase(
+        [e.path for e in entries], config.stride, config.centering, config.engine
+    )
+    shaping_start = time.perf_counter()
     rows = []
-    for entry, reward, a0 in zip(entries, rewards, base):
-        matrix = read_matrix(entry.path)
+    for entry, reward, a0, values in zip(entries, rewards, base, results):
         head = [Path(entry.path).stem, entry.group, _fmt(reward), _fmt(a0)]
-        try:
-            final_er, series = trajectory_metrics(
-                matrix, config.stride, config.centering, config.engine
-            )
-        except TrajectoryTooShort:
+        if len(values) == 2:  # (error type name, message)
+            if values[0] != TrajectoryTooShort.__name__:
+                raise RankdynError(values[1])
             # No stride-aligned prefix: shaping is skipped and the EMA is left as is.
             rows.append(head + [""] * 5 + [_fmt(a0)])
             continue
-        outcome, state = shape_from_metrics(
-            final_er, series.velocity, series.acceleration, a0, state, config
-        )
+        outcome, state = shape_from_metrics(*values[2:], a0, state, config)
         shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
         rows.append(head + [_fmt(v) for v in shaped])
-    _write_csv(args.out, SHAPE_HEADER, rows)
-    return 0
+    report["stage_s"]["shaping"] = time.perf_counter() - shaping_start
+    skipped = report["errors"].get(TrajectoryTooShort.__name__, 0)
+    return _finish(args, SHAPE_HEADER, rows, report, start, skipped)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -251,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
         p.add_argument("--center", choices=["raw", "rowmean"], default="raw")
         p.add_argument("--engine", choices=["naive", "incremental"], default="naive")
+        p.add_argument("--stats", help="write a JSON run report (stage times, row counts) here")
 
     p = sub.add_parser("metrics", help="per-trajectory metric table from HSMX files")
     p.add_argument("--in", dest="input", required=True, help="input file glob")

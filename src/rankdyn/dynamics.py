@@ -47,15 +47,18 @@ class MetricSeries:
     factor: np.ndarray | None = None
 
 
-def eval_steps(rows: int, stride: int) -> list[int]:
+def eval_steps(rows: int, stride: int, centering: Centering = Centering.RAW) -> list[int]:
+    """The stride multiples below `rows`. A centered prefix needs two rows, so
+    centered mode starts at the first multiple >= 2 (t=2 at stride 1)."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    k = (rows - 1) // stride
-    if k < 1:
+    first = max(stride, 2) if centering is Centering.ROW_MEAN_CENTERED else stride
+    steps = list(range(first, rows, stride))
+    if not steps:
         raise TrajectoryTooShort(
             f"trajectory of {rows} rows yields no eval step at stride {stride}"
         )
-    return [j * stride for j in range(1, k + 1)]
+    return steps
 
 
 def instantaneous_deltas(values: np.ndarray) -> np.ndarray:
@@ -151,7 +154,7 @@ def prefix_metric_series(
     engine: Engine = Engine.FACTOR,
 ) -> MetricSeries:
     """Effective rank on every stride-aligned prefix, plus its differences."""
-    steps = eval_steps(matrix.rows, stride)
+    steps = eval_steps(matrix.rows, stride, centering)
     if engine is Engine.INCREMENTAL_GRAM:
         from .gram_stream import stream_prefix_eranks
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMatrix, DimensionMismatch, TooFewRows
-from .spectral import Centering, SpectralSummary, summary_from_singular_values
+from .spectral import Centering, summary_from_singular_values
 from .tensor_io import HiddenStateMatrix
 
 # Gram eigenvalues below this fraction of the trace are clamped to zero
@@ -96,19 +96,15 @@ class GramStreamState:
         return g
 
 
-def erank_summary_from_gram(gram: np.ndarray) -> SpectralSummary:
-    """Spectral summary from a symmetric PSD Gram matrix."""
+def erank_from_gram(gram: np.ndarray) -> float:
+    """Effective rank from a symmetric PSD Gram matrix."""
     gram = np.asarray(gram, dtype=np.float64)
     eigvals = np.linalg.eigvalsh(gram)
     clamp = EIGENVALUE_CLAMP * max(float(np.trace(gram)), 0.0)
     eigvals = np.where(eigvals > clamp, eigvals, 0.0)
     if not np.any(eigvals > 0.0):
         raise DegenerateMatrix("Gram matrix has no eigenvalue above the clamp")
-    return summary_from_singular_values(np.sqrt(eigvals))
-
-
-def erank_from_gram(gram: np.ndarray) -> float:
-    return erank_summary_from_gram(gram).effective_rank
+    return summary_from_singular_values(np.sqrt(eigvals)).effective_rank
 
 
 def stream_prefix_eranks(
@@ -116,14 +112,12 @@ def stream_prefix_eranks(
 ) -> np.ndarray:
     """Effective rank of every stride-aligned prefix via the streaming path.
 
-    Matches the naive per-prefix SVD series within tight relative tolerance;
-    a single-row centered prefix is spectrally degenerate (centering a lone
-    row yields the zero matrix) and raises DegenerateMatrix, as the naive
-    path would.
+    Matches the naive per-prefix SVD series within tight relative tolerance,
+    on the same steps (centered mode starts at two rows).
     """
     from .dynamics import eval_steps  # local import to avoid a cycle
 
-    steps = eval_steps(matrix.rows, stride)
+    steps = eval_steps(matrix.rows, stride, centering)
     state = GramStreamState(matrix.cols)
     out = np.empty(len(steps))
     prev = 0
@@ -131,8 +125,6 @@ def stream_prefix_eranks(
         state.extend(matrix.data[prev:step])
         prev = step
         if centering is Centering.ROW_MEAN_CENTERED:
-            if state.t < 2:
-                raise DegenerateMatrix("centered single-row prefix is the zero matrix")
             gram = state.centered_gram()
         else:
             gram = state.uncentered_gram

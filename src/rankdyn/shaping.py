@@ -79,13 +79,13 @@ def ema_update(state: EmaState, metric: str, m: float) -> EmaState:
 
 @dataclass(frozen=True)
 class ShapingConfig:
+    """Shaping settings; the EMA's gamma and zero-init flag live on EmaState."""
+
     kappa: float = 2.0
     epsilon: float = 1e-8
-    gamma: float = 0.9
     stride: int = DEFAULT_STRIDE
     centering: Centering = Centering.RAW
     engine: Engine = Engine.FACTOR
-    literal_zero_init: bool = False
     pre_update_deviation: bool = False
 
     def __post_init__(self):
@@ -93,8 +93,6 @@ class ShapingConfig:
             raise ValueError("kappa must be positive and finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -105,8 +103,6 @@ class ShapingOutcome:
     d1: float | None
     d2: float | None
     beta: float | None
-    w_explore_coeff: float | None
-    w_exploit_coeff: float | None
     phi: float | None
     a0: float
     a_hat: float
@@ -200,7 +196,7 @@ def shape_from_metrics(
     d0 = relative_deviation(m_er, baseline["er"], eps)
     if m_erv is None or m_era is None:
         return (
-            ShapingOutcome(d0, None, None, None, None, None, None, a0, a0),
+            ShapingOutcome(d0, None, None, None, None, a0, a0),
             state,
         )
     d1 = relative_deviation(m_erv, baseline["erv"], eps)
@@ -209,6 +205,6 @@ def shape_from_metrics(
     phi = auxiliary_advantage(d0, d1, (w_explore, w_exploit))
     a_hat = shape_advantage(a0, phi, config.kappa)
     return (
-        ShapingOutcome(d0, d1, d2, beta, w_explore, w_exploit, phi, a0, a_hat),
+        ShapingOutcome(d0, d1, d2, beta, phi, a0, a_hat),
         state,
     )

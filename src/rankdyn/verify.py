@@ -114,7 +114,7 @@ def prefix_svd_oracle(
     matrix: HiddenStateMatrix, stride: int, centering: Centering = Centering.RAW
 ) -> np.ndarray:
     """Thin-SVD effective rank of every stride-aligned prefix: the engines' reference."""
-    steps = eval_steps(matrix.rows, stride)
+    steps = eval_steps(matrix.rows, stride, centering)
     return np.array([effective_rank(HiddenStateMatrix(matrix.data[:t]), centering) for t in steps])
 
 
@@ -130,8 +130,7 @@ def suite_engine_equivalence(seed: int = 0, count: int = 200) -> tuple[bool, str
         d = int(rng.integers(2, 65))
         gaussian = HiddenStateMatrix(rng.standard_normal((t, d)))
         hard = hard_fixture(FIXTURES[i % len(FIXTURES)], t, d, seed + i)
-        # A one-row prefix cannot be centered, so stride 1 runs raw only.
-        centered = stride > 1 and i // len(FIXTURES) % 2 == 0
+        centered = i // len(FIXTURES) % 2 == 0
         mode = Centering.ROW_MEAN_CENTERED if centered else Centering.RAW
         for engine, bound, matrix, centering in [
             (Engine.INCREMENTAL_GRAM, 1e-8, gaussian, Centering.RAW),

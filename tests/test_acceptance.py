@@ -184,7 +184,7 @@ def test_08_two_trajectory_trace_fidelity():
             ),
         ),
     ]:
-        config = ShapingConfig(kappa=2.0, gamma=0.9, epsilon=1e-8, pre_update_deviation=pre_update)
+        config = ShapingConfig(kappa=2.0, epsilon=1e-8, pre_update_deviation=pre_update)
         state = EmaState(gamma=0.9)
         out1, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, state, config)
         assert out1.d0 == 0.0 and out1.phi == 0.0 and out1.a_hat == 0.8

@@ -1,4 +1,9 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +21,31 @@ from rankdyn import (
 )
 from rankdyn.cli import main, parse_generator_spec, read_manifest
 from rankdyn.errors import GroupTooSmall, ManifestError
-from rankdyn.tensor_io import OrthogonalRows
+from rankdyn.tensor_io import HEADER_SIZE, OrthogonalRows
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_trajectory(path, rows, cols, seed):
     write_matrix(generate_synthetic(GaussianIID(rows, cols), seed), path)
+
+
+def run_cli(*args, one_cpu=False):
+    """`python -m rankdyn.cli` in a child process, so a metric phase that never
+    returns fails its test at the timeout. one_cpu restricts the child to one
+    usable CPU, which keeps the metric phase in-process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cpu = min(os.sched_getaffinity(0))
+    return subprocess.run(
+        [sys.executable, "-m", "rankdyn.cli", *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None,
+    )
 
 
 def read_csv(path):
@@ -32,7 +57,8 @@ def test_metrics_command(tmp_path):
     for i in range(3):
         write_trajectory(tmp_path / f"t{i}.hsmx", 96, 8, seed=i)
     out = tmp_path / "m.csv"
-    assert main(["metrics", "--in", str(tmp_path / "*.hsmx"), "--out", str(out), "--stride", "8"]) == 0
+    proc = run_cli("metrics", "--in", tmp_path / "*.hsmx", "--out", out, "--stride", "8")
+    assert proc.returncode == 0
     rows = read_csv(out)
     assert rows[0] == ["id", "T", "D", "er", "erv", "era", "error"]
     assert [r[0] for r in rows[1:]] == ["t0", "t1", "t2"]  # input order
@@ -54,7 +80,8 @@ def test_metrics_bad_file_reported_not_fatal(tmp_path):
     write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
     (tmp_path / "b.hsmx").write_bytes(b"XXXX" + bytes(40))
     out = tmp_path / "m.csv"
-    assert main(["metrics", "--in", str(tmp_path / "*.hsmx"), "--out", str(out), "--stride", "8"]) == 0
+    proc = run_cli("metrics", "--in", tmp_path / "*.hsmx", "--out", out, "--stride", "8")
+    assert proc.returncode == 0
     rows = read_csv(out)
     assert rows[1][6] == ""
     assert rows[2][6].startswith("BadMagic")
@@ -77,9 +104,9 @@ def make_manifest(tmp_path, n_groups=2, group_size=4, rows=96):
 def test_shape_command_and_determinism(tmp_path):
     manifest = make_manifest(tmp_path)
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    args = ["shape", "--manifest", str(manifest), "--stride", "8", "--group-size", "4"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
+    args = ["shape", "--manifest", manifest, "--stride", "8", "--group-size", "4"]
+    assert run_cli(*args, "--out", out1).returncode == 0
+    assert run_cli(*args, "--out", out2).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     rows = read_csv(out1)
     assert rows[0] == ["id", "group", "reward", "a0", "d0", "d1", "d2", "beta", "phi", "a_hat"]
@@ -100,7 +127,7 @@ def test_shape_group_advantages(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("\n".join(lines))
     out = tmp_path / "s.csv"
-    assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8"]) == 0
+    assert run_cli("shape", "--manifest", manifest, "--out", out, "--stride", "8").returncode == 0
     rows = read_csv(out)
     assert [float(r[3]) for r in rows[1:]] == [1.0, 1.0, -1.0, -1.0]
 
@@ -114,7 +141,7 @@ def test_shape_degenerate_group_zero_advantages(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("\n".join(lines))
     out = tmp_path / "s.csv"
-    assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8"]) == 0
+    assert run_cli("shape", "--manifest", manifest, "--out", out, "--stride", "8").returncode == 0
     for r in read_csv(out)[1:]:
         assert float(r[2]) == 1.0  # reward
         assert float(r[3]) == 0.0  # a0
@@ -132,7 +159,7 @@ def test_shape_short_rollout_skipped_not_fatal(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("\n".join(lines))
     out = tmp_path / "s.csv"
-    assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8"]) == 0
+    assert run_cli("shape", "--manifest", manifest, "--out", out, "--stride", "8").returncode == 0
     rows = read_csv(out)
     assert [r[0] for r in rows[1:]] == ["t0", "t1", "t2"]
     short = rows[2]
@@ -235,3 +262,103 @@ def test_inputs_never_mutated(tmp_path):
     before = path.read_bytes()
     main(["metrics", "--in", str(path), "--out", str(tmp_path / "m.csv"), "--stride", "8"])
     assert path.read_bytes() == before
+
+
+TAIL = HEADER_SIZE + 96 * 8 * 8  # where f.hsmx, b.hsmx plus one byte, goes wrong
+
+
+def write_mixed_batch(tmp_path):
+    """T > D, T < D, a T <= stride rollout and a file with trailing bytes. At
+    300x200 the incremental engine's floats depend on the BLAS thread count."""
+    for name, rows, cols in [("a", 150, 8), ("b", 96, 8), ("c", 40, 64), ("d", 300, 200),
+                             ("e", 8, 8)]:
+        write_trajectory(tmp_path / f"{name}.hsmx", rows, cols, seed=rows)
+    (tmp_path / "f.hsmx").write_bytes((tmp_path / "b.hsmx").read_bytes() + b"\0")
+    return [tmp_path / f"{name}.hsmx" for name in "abcdef"]
+
+
+def worker_counts_agree(args, tmp_path):
+    """Run args once on one usable CPU (in-process) and once unrestricted (the
+    pool), check that they agree, and return the pooled run's exit code,
+    stderr, CSV bytes and --stats report."""
+    runs = []
+    for one_cpu in (True, False):
+        out, stats = tmp_path / f"out{one_cpu}.csv", tmp_path / f"stats{one_cpu}.json"
+        out.unlink(missing_ok=True)
+        stats.unlink(missing_ok=True)
+        proc = run_cli(*args, "--out", out, "--stats", stats, one_cpu=one_cpu)
+        report = json.loads(stats.read_text()) if stats.exists() else None
+        data = out.read_bytes() if out.exists() else None
+        runs.append((proc.returncode, proc.stderr, data, report))
+    single, pooled = runs
+    assert single[:3] == pooled[:3]
+    if single[3] is not None:
+        assert single[3]["workers"] == 1
+        expected = min(len(os.sched_getaffinity(0)), 6) if pooled[3]["blas_pinned"] else 1
+        assert pooled[3]["workers"] == expected
+    return pooled
+
+
+@pytest.mark.parametrize("engine", ["naive", "incremental"])
+@pytest.mark.parametrize("center", ["raw", "rowmean"])
+def test_metrics_bytes_do_not_depend_on_worker_count(tmp_path, engine, center):
+    write_mixed_batch(tmp_path)
+    args = ["metrics", "--in", tmp_path / "*.hsmx", "--stride", "8"]
+    code, _, data, report = worker_counts_agree(
+        args + ["--engine", engine, "--center", center], tmp_path
+    )
+    assert code == 0
+    errors = [row[6] for row in csv.reader(data.decode().splitlines()[1:])]
+    assert errors[:4] == [""] * 4
+    assert errors[4].startswith("TrajectoryTooShort: ")
+    assert errors[5] == f"FormatError: 1 trailing bytes after the payload (byte offset {TAIL})"
+    assert report["engine"] == engine
+    assert report["rows"] == {"ok": 4, "skipped": 0, "error": 2}
+    assert report["errors"] == {"FormatError": 1, "TrajectoryTooShort": 1}
+    assert set(report["stage_s"]) == {"read", "metrics", "write"}
+
+
+def test_shape_bytes_do_not_depend_on_worker_count(tmp_path):
+    paths = write_mixed_batch(tmp_path)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("".join(f"{p},g0,{i % 2},1\n" for i, p in enumerate(paths[:5])))
+    code, _, data, report = worker_counts_agree(
+        ["shape", "--manifest", manifest, "--stride", "8"], tmp_path
+    )
+    assert code == 0 and data.count(b"\n") == 6
+    assert report["rows"] == {"ok": 4, "skipped": 1, "error": 0}
+    assert set(report["stage_s"]) == {"read", "metrics", "shaping", "write"}
+
+    # Any error but a short rollout still aborts the run with today's message.
+    manifest.write_text("".join(f"{p},g0,{i % 2},1\n" for i, p in enumerate(paths)))
+    code, stderr, data, report = worker_counts_agree(
+        ["shape", "--manifest", manifest, "--stride", "8"], tmp_path
+    )
+    assert code == 2 and data is None and report is None
+    assert stderr == f"error: 1 trailing bytes after the payload (byte offset {TAIL})\n"
+
+
+def test_stride_one_centered_runs_on_both_engines(tmp_path):
+    write_trajectory(tmp_path / "t0.hsmx", 30, 6, seed=0)
+    rows = {}
+    for engine in ("naive", "incremental"):
+        out = tmp_path / f"{engine}.csv"
+        args = ["--stride", "1", "--center", "rowmean", "--engine", engine, "--out", str(out)]
+        assert main(["metrics", "--in", str(tmp_path / "t0.hsmx"), *args]) == 0
+        rows[engine] = read_csv(out)[1]
+    naive, incremental = rows["naive"], rows["incremental"]
+    assert naive[:3] == incremental[:3] == ["t0", "30", "6"]
+    assert naive[6] == incremental[6] == ""
+    np.testing.assert_allclose(
+        [float(v) for v in incremental[3:6]], [float(v) for v in naive[3:6]], rtol=1e-8
+    )
+
+    write_trajectory(tmp_path / "t1.hsmx", 30, 6, seed=1)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{tmp_path / 't0.hsmx'},g0,1,1\n{tmp_path / 't1.hsmx'},g0,0,1\n")
+    out = tmp_path / "s.csv"
+    proc = run_cli(
+        "shape", "--manifest", manifest, "--out", out, "--stride", "1", "--center", "rowmean"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert all(row[8] != "" for row in read_csv(out)[1:])  # phi: both rows shaped

@@ -12,7 +12,7 @@ from rankdyn import (
     trajectory_metrics,
 )
 from rankdyn.dynamics import eval_steps, instantaneous_deltas, series_from_values
-from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TooFewRows, TrajectoryTooShort
+from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TrajectoryTooShort
 from rankdyn.spectral import Centering, effective_rank
 from rankdyn.verify import FIXTURES, hard_fixture, prefix_svd_oracle
 
@@ -23,6 +23,12 @@ def test_eval_step_arithmetic():
     assert eval_steps(41, 40) == [40]
     with pytest.raises(TrajectoryTooShort):
         eval_steps(40, 40)
+    # a centered prefix needs two rows: only stride 1 moves its first step
+    assert eval_steps(5, 1, Centering.ROW_MEAN_CENTERED) == [2, 3, 4]
+    assert eval_steps(121, 40, Centering.ROW_MEAN_CENTERED) == [40, 80, 120]
+    assert eval_steps(3, 2, Centering.ROW_MEAN_CENTERED) == [2]
+    with pytest.raises(TrajectoryTooShort):
+        eval_steps(2, 1, Centering.ROW_MEAN_CENTERED)
 
 
 def test_deltas_by_recomputation():
@@ -132,9 +138,8 @@ ORACLE_CASES = [
     (shape, centering)
     for shape in ORACLE_SHAPES
     for centering in Centering
-    # a one-row prefix cannot be centered; test_factor_engine_errors covers it
     if shape[2] > 1 or centering is Centering.RAW
-]
+] + [(shape, Centering.ROW_MEAN_CENTERED) for shape in ORACLE_SHAPES if shape[2] == 1]
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -144,7 +149,7 @@ def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
     matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
     final_er, series = trajectory_metrics(matrix, stride, centering)
     oracle = prefix_svd_oracle(matrix, stride, centering)
-    expected = series_from_values(oracle, stride, eval_steps(rows, stride))
+    expected = series_from_values(oracle, stride, eval_steps(rows, stride, centering))
     assert series.eval_steps == expected.eval_steps
     np.testing.assert_allclose(series.prefix_values, oracle, rtol=1e-10, atol=0)
     assert final_er == pytest.approx(effective_rank(matrix, centering), rel=1e-10, abs=0)
@@ -161,9 +166,9 @@ def test_factor_engine_errors():
     matrix = hard_fixture("gaussian", 30, 8, seed=0)
     with pytest.raises(TrajectoryTooShort):
         trajectory_metrics(matrix, stride=30)
-    for engine_call in (trajectory_metrics, prefix_metric_series):
-        with pytest.raises(TooFewRows):  # the first stride-1 prefix is one row
-            engine_call(matrix, 1, Centering.ROW_MEAN_CENTERED)
+    for engine in Engine:  # no one-row centered prefix, so no TooFewRows on either engine
+        series = prefix_metric_series(matrix, 1, Centering.ROW_MEAN_CENTERED, engine)
+        assert series.eval_steps[:2] == (2, 3)
     for rows in (6, 30):  # T <= D and T > D
         for centering in Centering:
             with pytest.raises(DegenerateMatrix):

@@ -157,7 +157,10 @@ def test_stream_matches_naive_series_centered(stride):
     np.testing.assert_allclose(streamed, naive.prefix_values, rtol=1e-8)
 
 
-def test_centered_stream_single_row_prefix_degenerates():
+def test_centered_stream_stride_one_starts_at_two_rows():
+    # a one-row prefix cannot be centered, so both engines start at t=2
     matrix = HiddenStateMatrix(np.random.default_rng(9).standard_normal((5, 3)))
-    with pytest.raises(DegenerateMatrix):
-        stream_prefix_eranks(matrix, stride=1, centering=Centering.ROW_MEAN_CENTERED)
+    streamed = stream_prefix_eranks(matrix, stride=1, centering=Centering.ROW_MEAN_CENTERED)
+    factor = prefix_metric_series(matrix, 1, Centering.ROW_MEAN_CENTERED, Engine.FACTOR)
+    assert factor.eval_steps == (2, 3, 4)
+    np.testing.assert_allclose(streamed, factor.prefix_values, rtol=1e-8)

@@ -180,7 +180,7 @@ def test_short_trajectory_skips_shaping():
 
 
 def test_two_trajectory_hand_trace_post_update():
-    config = ShapingConfig(kappa=2.0, gamma=0.9, epsilon=1e-8)
+    config = ShapingConfig(kappa=2.0, epsilon=1e-8)
     state = EmaState(gamma=0.9)
     out1, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, state, config)
     assert out1.a_hat == 0.8
@@ -199,7 +199,7 @@ def test_two_trajectory_hand_trace_post_update():
 
 
 def test_two_trajectory_hand_trace_pre_update():
-    config = ShapingConfig(kappa=2.0, gamma=0.9, epsilon=1e-8, pre_update_deviation=True)
+    config = ShapingConfig(kappa=2.0, epsilon=1e-8, pre_update_deviation=True)
     state = EmaState(gamma=0.9)
     out1, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, state, config)
     assert out1.d0 == 0.0 and out1.a_hat == 0.8
