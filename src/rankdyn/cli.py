@@ -12,8 +12,9 @@ Manifest format: one record per line, `path,group_id,is_correct(0|1),has_boxed(0
 `#` starts a comment. Floats are rendered with 17 significant digits so CSVs
 round-trip doubles bit-exactly.
 
-`metrics` and `shape` run each trajectory's metrics on forked workers
-(`metric_phase`), then GRPO, the EMA, shaping and the CSV write in order.
+`metrics` and `shape` run each trajectory's metrics (`metric_phase`), then
+GRPO, the EMA, shaping and the CSV write in order. Only the program entry
+point `run` forks workers for the metric phase; `main` runs it in-process.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
     """Metric phase of one trajectory: (values, read seconds, metric seconds).
 
     values is (T, D, er, erv, era), or (error type name, message) for a
-    RankdynError. Only plain values go back: the MetricSeries factor can reach
-    megabytes, and a Pool that cannot unpickle an exception (FormatError takes
-    an offset) waits forever.
+    RankdynError: plain values only, as the MetricSeries factor can reach
+    megabytes and FormatError(message, offset) cannot be unpickled.
     """
     clock = [time.perf_counter()]
     try:
@@ -88,7 +88,8 @@ def single_threaded_blas():
     lines = maps.read_text().splitlines() if maps.exists() else []
     libs = sorted({ln.split()[-1] for ln in lines if "openblas" in ln and ".so" in ln})
     for lib in map(ctypes.CDLL, libs):
-        for name in ("openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
             setter, getter = (getattr(lib, name.format(op), None) for op in ("set", "get"))
             if setter and getter:
                 setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
@@ -103,26 +104,28 @@ def single_threaded_blas():
 
 
 def metric_phase(
-    paths: list[str], stride: int, centering: Centering, engine: Engine
+    paths: list[str], stride: int, centering: Centering, engine: Engine, fork: bool
 ) -> tuple[list[tuple], dict]:
     """trajectory_job over every path, in input order, plus its run report.
 
-    One worker per usable CPU and trajectory at most, forked: a spawned one
-    would import numpy anew. BLAS runs on one thread on every path, so no float
+    With fork, one worker per usable CPU and trajectory at most, forked (a
+    spawned one would import numpy anew); a worker that dies raises
+    BrokenProcessPool. BLAS runs on one thread on every path, so no float
     depends on the worker count; with no known BLAS to pin, all runs in-process.
     """
     start = time.perf_counter()
     job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
     with single_threaded_blas() as pinned:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(cpus or 1, len(paths)) if pinned else 1
+        workers = min(cpus or 1, len(paths)) if pinned and fork else 1
         if workers == 1:
             results = [job(path) for path in paths]
         else:
-            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
 
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = list(pool.imap(job, paths, chunksize=1))
+            with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+                results = list(pool.map(job, paths))
     errors = [values[0] for values, _, _ in results if len(values) == 2]
     report = {
         "engine": engine.value,
@@ -136,9 +139,8 @@ def metric_phase(
 
 
 def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], report: dict,
-            start: float, skipped: int = 0) -> int:
-    """Write the CSV, then the --stats JSON report beside it. Of the metric
-    phase's errors, `skipped` rows were kept without metrics, not failed."""
+            skipped: int = 0) -> int:
+    """Write the CSV, then the --stats report; `skipped` error rows were kept, not failed."""
     write_start = time.perf_counter()
     _write_csv(args.out, header, rows)
     if args.stats:
@@ -147,19 +149,17 @@ def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], 
         failed = sum(report["errors"].values())
         report["rows"] = {"ok": len(rows) - failed, "skipped": skipped, "error": failed - skipped}
         report["stage_s"]["write"] = time.perf_counter() - write_start
-        report["wall_s"] = time.perf_counter() - start
         Path(args.stats).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
     paths = sorted(globlib.glob(args.input))
     if not paths:
         print(f"error: no files match {args.input!r}", file=sys.stderr)
         return 2
     results, report = metric_phase(
-        paths, args.stride, Centering(args.center), Engine(args.engine)
+        paths, args.stride, Centering(args.center), Engine(args.engine), args.fork
     )
     rows = []
     for path, values in zip(paths, results):
@@ -168,7 +168,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             rows.append([ident, "", "", "", "", "", "{}: {}".format(*values)])
         else:
             rows.append([ident, str(values[0]), str(values[1]), *map(_fmt, values[2:]), ""])
-    return _finish(args, METRICS_HEADER, rows, report, start)
+    return _finish(args, METRICS_HEADER, rows, report)
 
 
 @dataclass
@@ -195,7 +195,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def cmd_shape(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
     config = ShapingConfig(
         kappa=args.kappa,
         epsilon=args.eps,
@@ -224,7 +223,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
             base[i] = adv
 
     results, report = metric_phase(
-        [e.path for e in entries], config.stride, config.centering, config.engine
+        [e.path for e in entries], config.stride, config.centering, config.engine, args.fork
     )
     shaping_start = time.perf_counter()
     rows = []
@@ -241,7 +240,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
         rows.append(head + [_fmt(v) for v in shaped])
     report["stage_s"]["shaping"] = time.perf_counter() - shaping_start
     skipped = report["errors"].get(TrajectoryTooShort.__name__, 0)
-    return _finish(args, SHAPE_HEADER, rows, report, start, skipped)
+    return _finish(args, SHAPE_HEADER, rows, report, skipped)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -277,14 +276,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes, dims, stride = _parse_grid(args.grid)
     results = benchmod.run_grid(sizes, dims, stride, repeats=args.repeats, seed=args.seed)
     rows = [
-        [
-            str(r.rows),
-            str(r.dims),
-            str(r.stride),
-            _fmt(r.naive_seconds),
-            _fmt(r.incremental_seconds),
-            _fmt(r.ratio),
-        ]
+        [str(r.rows), str(r.dims), str(r.stride), _fmt(r.naive_seconds),
+         _fmt(r.incremental_seconds), _fmt(r.ratio)]
         for r in results
     ]
     _write_csv(args.out, ["T", "D", "s", "naive_s", "incremental_s", "ratio"], rows)
@@ -382,8 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, fork: bool = False) -> int:
+    """Run one command. fork lets the metric phase fork workers (see metric_phase)."""
     args = build_parser().parse_args(argv)
+    args.fork = fork
     try:
         return args.func(args)
     except (RankdynError, ValueError) as exc:
@@ -391,5 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Program entry point: the process is the CLI's own, so it may fork."""
+    sys.exit(main(fork=True))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

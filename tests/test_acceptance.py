@@ -29,7 +29,7 @@ from rankdyn import (
     spectral_summary,
 )
 from rankdyn.bench import quadratic_fit_r2, run_grid
-from rankdyn.cli import main
+from test_cli import run_cli  # the CLI in a child process, with a timeout
 
 
 def report(name):
@@ -225,7 +225,7 @@ def test_10_shape_determinism(tmp_path):
     manifest.write_text("\n".join(lines))
     args = ["shape", "--manifest", str(manifest), "--stride", "8"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
+    assert run_cli(*args, "--out", out1).returncode == 0
+    assert run_cli(*args, "--out", out2).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     report("10 (byte-identical shape runs)")

@@ -31,15 +31,16 @@ def write_trajectory(path, rows, cols, seed):
     write_matrix(generate_synthetic(GaussianIID(rows, cols), seed), path)
 
 
-def run_cli(*args, one_cpu=False):
+def run_cli(*args, one_cpu=False, program=("-m", "rankdyn.cli")):
     """`python -m rankdyn.cli` in a child process, so a metric phase that never
     returns fails its test at the timeout. one_cpu restricts the child to one
-    usable CPU, which keeps the metric phase in-process."""
+    usable CPU, which keeps the metric phase in-process. program replaces
+    `-m rankdyn.cli`, e.g. with `-c` and a script."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     cpu = min(os.sched_getaffinity(0))
     return subprocess.run(
-        [sys.executable, "-m", "rankdyn.cli", *map(str, args)],
+        [sys.executable, *program, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
@@ -336,6 +337,25 @@ def test_shape_bytes_do_not_depend_on_worker_count(tmp_path):
     )
     assert code == 2 and data is None and report is None
     assert stderr == f"error: 1 trailing bytes after the payload (byte offset {TAIL})\n"
+
+
+def test_main_keeps_metric_phase_in_process(tmp_path):
+    write_mixed_batch(tmp_path)
+    stats = tmp_path / "stats.json"
+    args = ["--in", str(tmp_path / "*.hsmx"), "--out", str(tmp_path / "m.csv")]
+    assert main(["metrics", *args, "--stride", "8", "--stats", str(stats)]) == 0
+    assert json.loads(stats.read_text())["workers"] == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_dead_worker_fails_the_run(tmp_path):
+    write_mixed_batch(tmp_path)
+    out, stats = tmp_path / "m.csv", tmp_path / "stats.json"
+    kill = "import os; from rankdyn import cli; cli.read_matrix = lambda p: os._exit(3); cli.run()"
+    proc = run_cli("metrics", "--in", tmp_path / "*.hsmx", "--out", out, "--stats", stats,
+                   program=("-c", kill))
+    assert proc.returncode == 1 and "BrokenProcessPool" in proc.stderr
+    assert not out.exists()
 
 
 def test_stride_one_centered_runs_on_both_engines(tmp_path):
