@@ -20,10 +20,10 @@ point `run` forks workers for the metric phase; `main` runs it in-process.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import glob as globlib
+import math
 import os
 import sys
 import time
@@ -78,29 +78,18 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
     return values, clock[1] - clock[0], clock[-1] - clock[1]
 
 
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Pin the OpenBLAS that numpy loaded to one thread, and restore its old
-    count on exit. Yields False, pinning nothing, when none is found."""
-    import ctypes
+CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "quota period" or "max period"
 
-    maps = Path("/proc/self/maps")
-    lines = maps.read_text().splitlines() if maps.exists() else []
-    libs = sorted({ln.split()[-1] for ln in lines if "openblas" in ln and ".so" in ln})
-    for lib in map(ctypes.CDLL, libs):
-        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
-            setter, getter = (getattr(lib, name.format(op), None) for op in ("set", "get"))
-            if setter and getter:
-                setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
-                old = getter()
-                setter(1)
-                try:
-                    yield True
-                finally:
-                    setter(old)
-                return
-    yield False
+
+def usable_cpus() -> int:
+    """The CPU affinity, capped at ceil(quota / period) of a cgroup v2 CPU
+    quota; "max" or no CPU_MAX file sets no cap."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        quota, period = CPU_MAX.read_text().split()
+        return min(cpus or 1, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError):
+        return cpus or 1
 
 
 def metric_phase(
@@ -113,11 +102,14 @@ def metric_phase(
     BrokenProcessPool. BLAS runs on one thread on every path, so no float
     depends on the worker count; with no known BLAS to pin, all runs in-process.
     """
+    from .lapack import qr_kernels, single_threaded_blas
+
     start = time.perf_counter()
     job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
     with single_threaded_blas() as pinned:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(cpus or 1, len(paths)) if pinned and fork else 1
+        # Resolved before any fork, so the workers inherit the bound kernels.
+        qr = ("lapack" if qr_kernels() else "numpy") if engine is Engine.FACTOR else None
+        workers = min(usable_cpus(), len(paths)) if pinned and fork else 1
         if workers == 1:
             results = [job(path) for path in paths]
         else:
@@ -131,6 +123,7 @@ def metric_phase(
         "engine": engine.value,
         "workers": workers,
         "blas_pinned": pinned,
+        "qr": qr,
         "metric_phase_s": time.perf_counter() - start,
         "stage_s": {"read": sum(r[1] for r in results), "metrics": sum(r[2] for r in results)},
         "errors": {name: errors.count(name) for name in sorted(set(errors))},

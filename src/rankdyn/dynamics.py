@@ -122,12 +122,20 @@ def factor_prefix_eranks(
     sqrt(n*b/(n+b)), the pairwise update of Chan, Golub & LeVeque (1979). No
     Gram matrix is formed and no raw moments are subtracted, so the values
     keep the accuracy of an SVD of each prefix.
+
+    Both QRs run on the LAPACK kernels of `lapack.qr_kernels` (dgeqrt, and a
+    dtpqrt update of R in place), or on np.linalg.qr where those are absent.
     """
+    from .lapack import fold_rows, qr_kernels, row_factor
+
+    kernels = qr_kernels() is not None
     rows, dims = data.shape
     if steps[0] <= dims:
-        lower = np.linalg.qr(data[: min(rows, dims)].T, mode="r").T
+        head = data[: min(rows, dims)]
+        lower = row_factor(head) if kernels else np.linalg.qr(head.T, mode="r").T
     eranks = []
-    factor, count, mean = np.empty((0, dims)), 0, np.zeros(dims)
+    factor = np.zeros((dims, dims), order="F") if kernels and rows > dims else np.empty((0, dims))
+    count, mean = 0, np.zeros(dims)
     for t in [*steps, rows]:
         if t <= dims:
             block = center(lower[:t, :t], centering)
@@ -139,8 +147,11 @@ def factor_prefix_eranks(
                 shift = math.sqrt(count * b / t) * (chunk_mean - mean)
                 chunk = np.vstack([chunk - chunk_mean, shift])
                 mean = mean + (chunk_mean - mean) * (b / t)
-            factor = block = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
-            count = t
+            if kernels:
+                fold_rows(factor, chunk)
+            else:
+                factor = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
+            block, count = factor, t
         if t < rows:
             sigma = np.linalg.svd(block, compute_uv=False)
             eranks.append(summary_from_singular_values(sigma).effective_rank)

@@ -80,7 +80,7 @@ class GramStreamState:
             cross = self._rows_buf[:t] @ chunk.T
             self._gram_buf[:t, t:new_t] = cross
             self._gram_buf[t:new_t, :t] = cross.T
-        self._gram_buf[t:new_t, t:new_t] = chunk @ chunk.T
+        np.matmul(chunk, chunk.T, out=self._gram_buf[t:new_t, t:new_t])
         self._rows_buf[t:new_t] = chunk
         self.row_sum = self.row_sum + chunk.sum(axis=0)
         self.t = new_t

@@ -19,8 +19,12 @@ from rankdyn import (
     trajectory_metrics,
     write_matrix,
 )
-from rankdyn.cli import main, parse_generator_spec, read_manifest
+from rankdyn import cli
+from rankdyn.cli import main, parse_generator_spec, read_manifest, usable_cpus
+from rankdyn.dynamics import Engine
 from rankdyn.errors import GroupTooSmall, ManifestError
+from rankdyn.lapack import qr_kernels
+from rankdyn.spectral import Centering
 from rankdyn.tensor_io import HEADER_SIZE, OrthogonalRows
 
 
@@ -278,7 +282,7 @@ def write_mixed_batch(tmp_path):
     return [tmp_path / f"{name}.hsmx" for name in "abcdef"]
 
 
-def worker_counts_agree(args, tmp_path):
+def worker_counts_agree(args, tmp_path, program=("-m", "rankdyn.cli")):
     """Run args once on one usable CPU (in-process) and once unrestricted (the
     pool), check that they agree, and return the pooled run's exit code,
     stderr, CSV bytes and --stats report."""
@@ -287,7 +291,7 @@ def worker_counts_agree(args, tmp_path):
         out, stats = tmp_path / f"out{one_cpu}.csv", tmp_path / f"stats{one_cpu}.json"
         out.unlink(missing_ok=True)
         stats.unlink(missing_ok=True)
-        proc = run_cli(*args, "--out", out, "--stats", stats, one_cpu=one_cpu)
+        proc = run_cli(*args, "--out", out, "--stats", stats, one_cpu=one_cpu, program=program)
         report = json.loads(stats.read_text()) if stats.exists() else None
         data = out.read_bytes() if out.exists() else None
         runs.append((proc.returncode, proc.stderr, data, report))
@@ -295,7 +299,7 @@ def worker_counts_agree(args, tmp_path):
     assert single[:3] == pooled[:3]
     if single[3] is not None:
         assert single[3]["workers"] == 1
-        expected = min(len(os.sched_getaffinity(0)), 6) if pooled[3]["blas_pinned"] else 1
+        expected = min(usable_cpus(), 6) if pooled[3]["blas_pinned"] else 1
         assert pooled[3]["workers"] == expected
     return pooled
 
@@ -314,9 +318,47 @@ def test_metrics_bytes_do_not_depend_on_worker_count(tmp_path, engine, center):
     assert errors[4].startswith("TrajectoryTooShort: ")
     assert errors[5] == f"FormatError: 1 trailing bytes after the payload (byte offset {TAIL})"
     assert report["engine"] == engine
+    assert report["qr"] == (("lapack" if qr_kernels() else "numpy") if engine == "naive" else None)
     assert report["rows"] == {"ok": 4, "skipped": 0, "error": 2}
     assert report["errors"] == {"FormatError": 1, "TrajectoryTooShort": 1}
     assert set(report["stage_s"]) == {"read", "metrics", "write"}
+
+
+NUMPY_QR = "from rankdyn import cli, lapack; lapack.qr_kernels = lambda: None; cli.run()"
+
+
+@pytest.mark.parametrize("center", ["raw", "rowmean"])
+def test_numpy_qr_fallback_bytes_do_not_depend_on_worker_count(tmp_path, center):
+    write_mixed_batch(tmp_path)
+    args = ["metrics", "--in", tmp_path / "*.hsmx", "--stride", "8", "--center", center]
+    code, _, data, report = worker_counts_agree(args, tmp_path, program=("-c", NUMPY_QR))
+    assert code == 0 and report["qr"] == "numpy"
+    assert report["rows"] == {"ok": 4, "skipped": 0, "error": 2}
+    # The default QR path, in-process, agrees with the fallback's CSV.
+    out = tmp_path / "default.csv"
+    assert main([str(a) for a in args] + ["--out", str(out)]) == 0
+    default, fallback = read_csv(out), list(csv.reader(data.decode().splitlines()))
+    assert len(default) == len(fallback) == 7
+    for got, want in zip(default[1:], fallback[1:]):
+        assert got[:3] + got[6:] == want[:3] + want[6:]
+        values = [[float(v or "nan") for v in row[3:6]] for row in (got, want)]
+        np.testing.assert_allclose(*values, rtol=0, atol=1e-10)
+
+
+def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
+    affinity = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(cli, "CPU_MAX", tmp_path / "cpu.max")
+    assert usable_cpus() == affinity  # no cpu.max file: no cap
+    for text, cap in [("max 100000\n", affinity), ("150000 100000\n", 2),
+                      ("100000 100000\n", 1), ("50000 100000\n", 1)]:
+        cli.CPU_MAX.write_text(text)
+        assert usable_cpus() == min(affinity, cap)
+    # A one-CPU quota keeps even a forking metric phase in-process.
+    write_trajectory(tmp_path / "a.hsmx", 96, 8, seed=0)
+    write_trajectory(tmp_path / "b.hsmx", 96, 8, seed=1)
+    paths = [str(tmp_path / "a.hsmx"), str(tmp_path / "b.hsmx")]
+    _, report = cli.metric_phase(paths, 8, Centering.RAW, Engine.FACTOR, fork=True)
+    assert report["workers"] == 1
 
 
 def test_shape_bytes_do_not_depend_on_worker_count(tmp_path):
