@@ -9,7 +9,7 @@ from .dynamics import (
     second_order_difference,
     trajectory_metrics,
 )
-from .gram_stream import GramStreamState, erank_from_gram, stream_prefix_eranks
+from .gram_stream import erank_from_gram
 from .shaping import (
     EmaState,
     ShapingConfig,

@@ -5,7 +5,6 @@ Subcommands::
     metrics  --in <glob> --out <csv>      per-trajectory er/erv/era table
     shape    --manifest <path> --out <csv>  full shaping pipeline over a batch
     verify   [--suite name] [--seed N]    run the self-check suites
-    bench    [--grid spec] --out <csv>    naive vs incremental construction timing
     synth    --spec <string> --seed N --out <path>   write synthetic HSMX files
 
 Manifest format: one record per line, `path,group_id,is_correct(0|1),has_boxed(0|1)`,
@@ -30,7 +29,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bench as benchmod
 from . import verify as verifymod
 from .dynamics import DEFAULT_STRIDE, Engine, trajectory_metrics
 from .errors import GroupTooSmall, ManifestError, RankdynError, TrajectoryTooShort
@@ -248,37 +246,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _parse_grid(spec: str) -> tuple[list[int], int, int]:
-    """Parse 'T=512,1024,2048;D=256;s=32' into (sizes, dims, stride)."""
-    sizes, dims, stride = [512, 1024, 2048], 256, 32
-    for part in spec.split(";"):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key == "T":
-            sizes = [int(v) for v in value.split(",")]
-        elif key == "D":
-            dims = int(value)
-        elif key == "s":
-            stride = int(value)
-        else:
-            raise ValueError(f"unknown grid key {key!r}")
-    return sizes, dims, stride
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes, dims, stride = _parse_grid(args.grid)
-    results = benchmod.run_grid(sizes, dims, stride, repeats=args.repeats, seed=args.seed)
-    rows = [
-        [str(r.rows), str(r.dims), str(r.stride), _fmt(r.naive_seconds),
-         _fmt(r.incremental_seconds), _fmt(r.ratio)]
-        for r in results
-    ]
-    _write_csv(args.out, ["T", "D", "s", "naive_s", "incremental_s", "ratio"], rows)
-    for row in rows:
-        print(",".join(row))
-    return 0
-
-
 def parse_generator_spec(text: str) -> object:
     """Parse e.g. 'orthogonal:k=16,D=64,row_norm=1.0' into a generator spec."""
     kind, _, rest = text.partition(":")
@@ -351,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="naive vs incremental Gram construction timing")
-    p.add_argument("--grid", default="T=512,1024,2048;D=256;s=32")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic HSMX file")
     p.add_argument("--spec", required=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeriesTooShort, TrajectoryTooShort
-from .spectral import Centering, center, effective_rank, summary_from_singular_values
+from .spectral import Centering, center, effective_rank, shifted, summary_from_singular_values
 from .tensor_io import HiddenStateMatrix
 
 DEFAULT_STRIDE = 40
@@ -116,6 +116,9 @@ def factor_prefix_eranks(
     with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
     Row-mean centering commutes with Q^T, so centered mode centers that block.
 
+    Centered mode first shifts the rows by the mean of the first eval prefix
+    (`spectral.shifted`), so a large common offset costs no digits.
+
     Longer prefixes stream a D-by-D R factor over the rows between consecutive
     ends, R <- qr([R; chunk]) as in TSQR (Demmel et al., SISC 2012). Centered
     mode merges each chunk about its own mean plus one mean-shift row weighted
@@ -129,6 +132,7 @@ def factor_prefix_eranks(
     from .lapack import fold_rows, qr_kernels, row_factor
 
     kernels = qr_kernels() is not None
+    data = shifted(data, steps, centering)
     rows, dims = data.shape
     if steps[0] <= dims:
         head = data[: min(rows, dims)]
@@ -167,9 +171,9 @@ def prefix_metric_series(
     """Effective rank on every stride-aligned prefix, plus its differences."""
     steps = eval_steps(matrix.rows, stride, centering)
     if engine is Engine.INCREMENTAL_GRAM:
-        from .gram_stream import stream_prefix_eranks
+        from .gram_stream import gram_prefix_eranks
 
-        values, factor = stream_prefix_eranks(matrix, stride, centering), None
+        values, factor = gram_prefix_eranks(matrix.data, steps, centering), None
     else:
         values, factor = factor_prefix_eranks(matrix.data, steps, centering)
     return series_from_values(values, stride, steps, factor)
@@ -190,4 +194,6 @@ def trajectory_metrics(
     if series.factor is not None:
         # Already centered, and it holds the tail rows as well.
         matrix, centering = HiddenStateMatrix(series.factor), Centering.RAW
+    else:
+        matrix = HiddenStateMatrix(shifted(matrix.data, series.eval_steps, centering))
     return effective_rank(matrix, centering), series

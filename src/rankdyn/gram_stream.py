@@ -1,24 +1,26 @@
-"""Streaming effective rank via incremental Gram-matrix updates.
+"""Prefix effective rank from Gram eigenvalues (`--engine incremental`).
 
-Instead of recomputing the Gram matrix of every growing prefix from scratch
-(O(D*T^3/s) construction over a whole trajectory), the stream maintains two
-sufficient statistics -- the uncentered Gram matrix U_t = Z Z^T and the row
-sum s_t -- and extends U_t block-wise as chunks arrive, for O(D*T^2) total
-construction cost. The centered Gram matrix is reconstructed algebraically:
+In centered mode the rows are first shifted by the mean of the first eval
+prefix (`spectral.shifted`), so the Gram products below see no large common
+offset. Prefixes of t <= D rows take the leading t-by-t block of one Gram
+matrix G = Z Z^T of the first rows, centered algebraically with r, the row
+means of that block:
 
-    G_t = U_t - c 1^T - 1 c^T + (mu^T mu) 1 1^T,   c = Z mu,  mu = s_t / t
+    G_c = G - r 1^T - 1 r^T + mean(r)
 
-Effective rank then comes from the eigenvalues of the (centered or raw) Gram
-matrix, sigma_j = sqrt(lambda_j).
+Longer prefixes accumulate the D-by-D scatter S = Z^T Z and the row sum s
+chunk by chunk, centered as S - s s^T / t. Effective rank then comes from the
+eigenvalues, sigma_j = sqrt(lambda_j). A Gram matrix squares the condition
+number of the rows, so this engine trails a per-prefix SVD on
+ill-conditioned inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch, TooFewRows
-from .spectral import Centering, summary_from_singular_values
-from .tensor_io import HiddenStateMatrix
+from .errors import DegenerateMatrix, DimensionMismatch
+from .spectral import Centering, shifted, summary_from_singular_values
 
 # Gram eigenvalues below this fraction of the trace are clamped to zero
 # before the square root (the Gram path squares the conditioning of SVD).
@@ -26,45 +28,17 @@ EIGENVALUE_CLAMP = 1e-14
 
 
 class GramStreamState:
-    """Single-writer accumulator for one token stream.
+    """The D-by-D scatter Z^T Z, the row sum and the row count t of the rows
+    seen so far."""
 
-    Keeps the raw rows: both the off-diagonal block update and the Z*mu term
-    need the history. The savings are in avoided recomputation of Gram
-    blocks, not in storage.
-    """
-
-    def __init__(self, dims: int, capacity: int = 64):
+    def __init__(self, dims: int):
         self.dims = dims
         self.t = 0
+        self.scatter = np.zeros((dims, dims))
         self.row_sum = np.zeros(dims)
-        # Capacity-doubling buffers keep extend() amortized: reallocating a
-        # fresh t-by-t Gram on every chunk would itself cost O(T^3/s) copies.
-        self._gram_buf = np.empty((capacity, capacity))
-        self._rows_buf = np.empty((capacity, dims))
-
-    @property
-    def uncentered_gram(self) -> np.ndarray:
-        return self._gram_buf[: self.t, : self.t]
-
-    @property
-    def retained_rows(self) -> np.ndarray:
-        return self._rows_buf[: self.t]
-
-    def _reserve(self, new_t: int) -> None:
-        cap = self._gram_buf.shape[0]
-        if new_t <= cap:
-            return
-        while cap < new_t:
-            cap *= 2
-        grown = np.empty((cap, cap))
-        grown[: self.t, : self.t] = self._gram_buf[: self.t, : self.t]
-        self._gram_buf = grown
-        rows = np.empty((cap, self.dims))
-        rows[: self.t] = self._rows_buf[: self.t]
-        self._rows_buf = rows
 
     def extend(self, chunk: np.ndarray) -> "GramStreamState":
-        """Append a chunk of new rows, updating U_t block-wise in place."""
+        """Add a chunk of new rows, in O(b D^2) for b rows."""
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.ndim != 2 or chunk.shape[1] != self.dims:
             raise DimensionMismatch(
@@ -72,28 +46,10 @@ class GramStreamState:
             )
         if chunk.shape[0] < 1:
             raise DimensionMismatch("chunk must contain at least one row")
-        s = chunk.shape[0]
-        t = self.t
-        new_t = t + s
-        self._reserve(new_t)
-        if t:
-            cross = self._rows_buf[:t] @ chunk.T
-            self._gram_buf[:t, t:new_t] = cross
-            self._gram_buf[t:new_t, :t] = cross.T
-        np.matmul(chunk, chunk.T, out=self._gram_buf[t:new_t, t:new_t])
-        self._rows_buf[t:new_t] = chunk
-        self.row_sum = self.row_sum + chunk.sum(axis=0)
-        self.t = new_t
+        self.scatter += chunk.T @ chunk
+        self.row_sum += chunk.sum(axis=0)
+        self.t += chunk.shape[0]
         return self
-
-    def centered_gram(self) -> np.ndarray:
-        """Reconstruct the Gram matrix of the row-mean-centered prefix."""
-        if self.t < 2:
-            raise TooFewRows("centered Gram needs at least 2 rows")
-        mu = self.row_sum / self.t
-        c = self.retained_rows @ mu
-        g = self.uncentered_gram - c[:, None] - c[None, :] + float(mu @ mu)
-        return g
 
 
 def erank_from_gram(gram: np.ndarray) -> float:
@@ -107,26 +63,27 @@ def erank_from_gram(gram: np.ndarray) -> float:
     return summary_from_singular_values(np.sqrt(eigvals)).effective_rank
 
 
-def stream_prefix_eranks(
-    matrix: HiddenStateMatrix, stride: int, centering: Centering = Centering.RAW
+def gram_prefix_eranks(
+    data: np.ndarray, steps: list[int], centering: Centering
 ) -> np.ndarray:
-    """Effective rank of every stride-aligned prefix via the streaming path.
-
-    Matches the naive per-prefix SVD series within tight relative tolerance,
-    on the same steps (centered mode starts at two rows).
-    """
-    from .dynamics import eval_steps  # local import to avoid a cycle
-
-    steps = eval_steps(matrix.rows, stride, centering)
-    state = GramStreamState(matrix.cols)
-    out = np.empty(len(steps))
-    prev = 0
-    for i, step in enumerate(steps):
-        state.extend(matrix.data[prev:step])
-        prev = step
-        if centering is Centering.ROW_MEAN_CENTERED:
-            gram = state.centered_gram()
+    """Effective rank of each prefix data[:t], t in the increasing steps."""
+    data = shifted(data, steps, centering)
+    dims = data.shape[1]
+    centered = centering is Centering.ROW_MEAN_CENTERED
+    head = data[: max((t for t in steps if t <= dims), default=0)]
+    head_gram = head @ head.T
+    state = GramStreamState(dims)
+    eranks = []
+    for t in steps:
+        if t <= dims:
+            gram = head_gram[:t, :t]
+            if centered:
+                r = gram.mean(axis=1)
+                gram = gram - r[:, None] - r[None, :] + r.mean()
         else:
-            gram = state.uncentered_gram
-        out[i] = erank_from_gram(gram)
-    return out
+            state.extend(data[state.t : t])
+            gram = state.scatter
+            if centered:
+                gram = gram - np.outer(state.row_sum, state.row_sum) / t
+        eranks.append(erank_from_gram(gram))
+    return np.array(eranks)

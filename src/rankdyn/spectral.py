@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,16 @@ def center(data: np.ndarray, centering: Centering) -> np.ndarray:
     if data.shape[0] < 2:
         raise TooFewRows("row-mean centering needs at least 2 rows")
     return data - data.mean(axis=0, keepdims=True)
+
+
+def shifted(data: np.ndarray, steps: Sequence[int], centering: Centering) -> np.ndarray:
+    """Centered mode: data less one shift row, the mean of its first eval
+    prefix data[:steps[0]]. Centering ignores a common shift, and removing a
+    large offset before any product keeps the rounding relative to the spread
+    of the rows, not to the offset. Raw mode: data unchanged."""
+    if centering is Centering.RAW:
+        return data
+    return data - data[: steps[0]].mean(axis=0)
 
 
 def summary_from_singular_values(sigma: np.ndarray) -> SpectralSummary:

@@ -21,7 +21,7 @@ from .dynamics import (
     second_order_difference,
 )
 from .shaping import dynamic_weights, shape_advantage
-from .spectral import Centering, effective_rank, spectral_summary
+from .spectral import Centering, SpectralSummary, shifted, spectral_summary
 from .tensor_io import GaussianIID, HiddenStateMatrix, OrthogonalRows, generate_synthetic
 
 
@@ -85,13 +85,13 @@ def suite_closed_forms() -> tuple[bool, str]:
     return True, "N in {3, 10, 100, 1000}"
 
 
-FIXTURES = ("gaussian", "low-rank", "power-law", "offset", "massive")
+FIXTURES = ("gaussian", "low-rank", "power-law", "offset", "offset-1e8", "massive")
 
 
 def hard_fixture(name: str, rows: int, dims: int, seed: int) -> HiddenStateMatrix:
     """Inputs shaped like LLM hidden states, on which Gram-based engines lose
     accuracy: a rank-2 matrix, a j^-alpha spectrum with condition number 1e7,
-    a +1e4 common offset, and two massive-activation columns (x1000)."""
+    a +1e4 and a +1e8 common offset, and two massive-activation columns (x1000)."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((rows, dims))
     if name == "low-rank":
@@ -103,6 +103,8 @@ def hard_fixture(name: str, rows: int, dims: int, seed: int) -> HiddenStateMatri
         data = (left * np.arange(1, n + 1) ** (-7.0 / math.log10(max(n, 2)))) @ right.T
     elif name == "offset":
         data += 1e4
+    elif name == "offset-1e8":
+        data += 1e8
     elif name == "massive":
         data[:, :2] *= 1000.0
     elif name != "gaussian":
@@ -110,37 +112,63 @@ def hard_fixture(name: str, rows: int, dims: int, seed: int) -> HiddenStateMatri
     return HiddenStateMatrix(data)
 
 
+def prefix_spectra(
+    matrix: HiddenStateMatrix, stride: int, centering: Centering = Centering.RAW
+) -> list[SpectralSummary]:
+    """Thin-SVD spectrum of every stride-aligned prefix. Centered mode shifts
+    the rows as the engines do."""
+    steps = eval_steps(matrix.rows, stride, centering)
+    data = shifted(matrix.data, steps, centering)
+    return [spectral_summary(HiddenStateMatrix(data[:t]), centering) for t in steps]
+
+
 def prefix_svd_oracle(
     matrix: HiddenStateMatrix, stride: int, centering: Centering = Centering.RAW
 ) -> np.ndarray:
-    """Thin-SVD effective rank of every stride-aligned prefix: the engines' reference."""
-    steps = eval_steps(matrix.rows, stride, centering)
-    return np.array([effective_rank(HiddenStateMatrix(matrix.data[:t]), centering) for t in steps])
+    """Effective rank of every stride-aligned prefix: the engines' reference."""
+    return np.array([s.effective_rank for s in prefix_spectra(matrix, stride, centering)])
+
+
+# Relative drift from the oracle that each engine is held to. The Gram engine
+# squares the condition number, so it is held only on prefixes whose condition
+# number is below GRAM_CONDITION_LIMIT.
+ENGINE_BOUNDS = {Engine.FACTOR: 1e-12, Engine.INCREMENTAL_GRAM: 1e-8}
+GRAM_CONDITION_LIMIT = 1e6
+
+
+def engine_drift(
+    matrix: HiddenStateMatrix, stride: int, centering: Centering, engine: Engine
+) -> float:
+    """Largest relative drift of an engine's prefix values from the oracle,
+    over the prefixes that ENGINE_BOUNDS holds it on."""
+    spectra = prefix_spectra(matrix, stride, centering)
+    oracle = np.array([s.effective_rank for s in spectra])
+    rel = np.abs(prefix_metric_series(matrix, stride, centering, engine).prefix_values - oracle)
+    rel /= oracle
+    if engine is Engine.INCREMENTAL_GRAM:
+        conditions = np.array([s.singular_values[0] / s.singular_values[-1] for s in spectra])
+        rel = rel[conditions < GRAM_CONDITION_LIMIT]
+    return float(rel.max(initial=0.0))
 
 
 def suite_engine_equivalence(seed: int = 0, count: int = 200) -> tuple[bool, str]:
-    """Both engines against the per-prefix SVD oracle: the factor engine within
-    1e-10 on every fixture, the incremental Gram engine within 1e-8 on Gaussian
-    inputs (it squares the condition number, so it is not held to the others)."""
+    """Both engines against the per-prefix SVD oracle on every fixture, in
+    both centerings, within ENGINE_BOUNDS."""
     rng = np.random.default_rng(seed)
     strides = (1, 8, 40)
     for i in range(count):
-        stride = strides[i % len(strides)]
+        # Every (fixture, centering, stride) in turn.
+        fixture = FIXTURES[i % len(FIXTURES)]
+        centered = i // len(FIXTURES) % 2 == 0
+        centering = Centering.ROW_MEAN_CENTERED if centered else Centering.RAW
+        stride = strides[i // (2 * len(FIXTURES)) % len(strides)]
         t = int(rng.integers(max(stride + 2, 8), 161))
         d = int(rng.integers(2, 65))
-        gaussian = HiddenStateMatrix(rng.standard_normal((t, d)))
-        hard = hard_fixture(FIXTURES[i % len(FIXTURES)], t, d, seed + i)
-        centered = i // len(FIXTURES) % 2 == 0
-        mode = Centering.ROW_MEAN_CENTERED if centered else Centering.RAW
-        for engine, bound, matrix, centering in [
-            (Engine.INCREMENTAL_GRAM, 1e-8, gaussian, Centering.RAW),
-            (Engine.FACTOR, 1e-10, hard, mode),
-        ]:
-            values = prefix_metric_series(matrix, stride, centering, engine).prefix_values
-            oracle = prefix_svd_oracle(matrix, stride, centering)
-            rel = np.max(np.abs(values - oracle) / oracle)
+        matrix = hard_fixture(fixture, t, d, seed + i)
+        for engine, bound in ENGINE_BOUNDS.items():
+            rel = engine_drift(matrix, stride, centering, engine)
             if rel > bound:
-                return False, f"{engine.value} engine off by {rel:.2e} at sample {i}"
+                return False, f"{engine.value} engine off by {rel:.2e} on {fixture} at sample {i}"
     return True, f"{count} trajectories checked"
 
 

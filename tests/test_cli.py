@@ -220,22 +220,6 @@ def test_verify_fault_injection(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_bench_command_small_grid(tmp_path, capsys):
-    out = tmp_path / "b.csv"
-    assert main(["bench", "--grid", "T=64,128;D=16;s=16", "--repeats", "2", "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert rows[0] == ["T", "D", "s", "naive_s", "incremental_s", "ratio"]
-    assert len(rows) == 3
-
-
-def test_bench_single_prefix_ratio_near_one(tmp_path):
-    out = tmp_path / "b.csv"
-    # 513 rows at stride 512: eval_steps gives the single prefix t=512
-    assert main(["bench", "--grid", "T=513;D=64;s=512", "--repeats", "5", "--out", str(out)]) == 0
-    ratio = float(read_csv(out)[1][5])
-    assert 0.5 <= ratio <= 2.0  # no incremental advantage with one chunk
-
-
 def test_synth_command(tmp_path, capsys):
     out = tmp_path / "o.hsmx"
     assert main(["synth", "--spec", "orthogonal:k=16,D=64", "--seed", "1", "--out", str(out)]) == 0

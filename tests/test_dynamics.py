@@ -13,7 +13,7 @@ from rankdyn import (
 )
 from rankdyn.dynamics import eval_steps, instantaneous_deltas, series_from_values
 from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TrajectoryTooShort
-from rankdyn.spectral import Centering, effective_rank
+from rankdyn.spectral import Centering, effective_rank, shifted
 from rankdyn.verify import FIXTURES, hard_fixture, prefix_svd_oracle
 
 
@@ -152,7 +152,8 @@ def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
     expected = series_from_values(oracle, stride, eval_steps(rows, stride, centering))
     assert series.eval_steps == expected.eval_steps
     np.testing.assert_allclose(series.prefix_values, oracle, rtol=1e-10, atol=0)
-    assert final_er == pytest.approx(effective_rank(matrix, centering), rel=1e-10, abs=0)
+    shifted_matrix = HiddenStateMatrix(shifted(matrix.data, series.eval_steps, centering))
+    assert final_er == pytest.approx(effective_rank(shifted_matrix, centering), rel=1e-10, abs=0)
     scale = oracle.max()
     pairs = [(series.velocity, expected.velocity), (series.acceleration, expected.acceleration)]
     for got, want in pairs:

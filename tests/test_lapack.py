@@ -54,16 +54,12 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
     fallback, fallback_factor = without_kernels(
         monkeypatch, lambda: factor_prefix_eranks(matrix.data, steps, centering)
     )
-    # Centering after a +1e4 offset costs about four digits on either path:
-    # both sit about 1e-11 from the oracle there, and as far from each other.
-    centered_offset = fixture == "offset" and centering is Centering.ROW_MEAN_CENTERED
-    bound = 1e-10 if centered_offset else 1e-12
-    np.testing.assert_allclose(kernel, fallback, rtol=bound, atol=0)
+    np.testing.assert_allclose(kernel, fallback, rtol=1e-12, atol=0)
     sigma = [np.linalg.svd(f, compute_uv=False) for f in (kernel_factor, fallback_factor)]
-    np.testing.assert_allclose(*sigma, rtol=0, atol=bound * sigma[1][0])
+    np.testing.assert_allclose(*sigma, rtol=0, atol=1e-12 * sigma[1][0])
     oracle = prefix_svd_oracle(matrix, stride, centering)
     for values in (kernel, fallback):
-        np.testing.assert_allclose(values, oracle, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("stride", [1, 40])
