@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeriesTooShort, TrajectoryTooShort
+from .gram_stream import gram_prefix_eranks
 from .spectral import Centering, center, effective_rank, shifted, summary_from_singular_values
 from .tensor_io import HiddenStateMatrix
 
@@ -171,8 +172,6 @@ def prefix_metric_series(
     """Effective rank on every stride-aligned prefix, plus its differences."""
     steps = eval_steps(matrix.rows, stride, centering)
     if engine is Engine.INCREMENTAL_GRAM:
-        from .gram_stream import gram_prefix_eranks
-
         values, factor = gram_prefix_eranks(matrix.data, steps, centering), None
     else:
         values, factor = factor_prefix_eranks(matrix.data, steps, centering)
