@@ -222,7 +222,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
         head = [Path(entry.path).stem, entry.group, _fmt(reward), _fmt(a0)]
         if len(values) == 2:  # (error type name, message)
             if values[0] != TrajectoryTooShort.__name__:
-                raise RankdynError(values[1])
+                raise RankdynError("{}: {}: {}".format(entry.path, *values))
             # No stride-aligned prefix: shaping is skipped and the EMA is left as is.
             rows.append(head + [""] * 5 + [_fmt(a0)])
             continue
@@ -236,7 +236,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else None
-    results = verifymod.run_suites(names, seed=args.seed, inject_fault=args.inject_fault)
+    results = verifymod.run_suites(names, seed=args.seed)
     failed = 0
     for name, (passed, detail) in results.items():
         status = "pass" if passed else "FAIL"
@@ -291,8 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_metric_flags(p):
         p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-        p.add_argument("--center", choices=["raw", "rowmean"], default="raw")
-        p.add_argument("--engine", choices=["naive", "incremental"], default="naive")
+        p.add_argument("--center", choices=[c.value for c in Centering],
+                       default=ShapingConfig.centering.value)
+        p.add_argument("--engine", choices=[e.value for e in Engine],
+                       default=ShapingConfig.engine.value)
         p.add_argument("--stats", help="write a JSON run report (stage times, row counts) here")
 
     p = sub.add_parser("metrics", help="per-trajectory metric table from HSMX files")
@@ -304,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shape", help="run the advantage-shaping pipeline over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--kappa", type=float, default=ShapingConfig.kappa)
+    p.add_argument("--gamma", type=float, default=EmaState.gamma)
+    p.add_argument("--eps", type=float, default=ShapingConfig.epsilon)
     p.add_argument("--group-size", type=int, default=None)
     p.add_argument("--literal-ema-init", action="store_true")
     p.add_argument("--pre-update-deviation", action="store_true")
@@ -316,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-check suites")
     p.add_argument("--suite", choices=sorted(verifymod.SUITES), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="write a synthetic HSMX file")

@@ -53,13 +53,6 @@ def test_second_order_hand_example():
     assert second_order_difference(m) == pytest.approx(5.0 / 6.0)
 
 
-@pytest.mark.parametrize("n", [3, 10, 100, 1000])
-def test_linear_series_closed_forms(n):
-    series = np.arange(1, n + 1, dtype=np.float64)
-    assert first_order_difference(series) == pytest.approx((n + 2) / 4, rel=1e-13)
-    assert second_order_difference(series) == pytest.approx(0.5, rel=1e-13)
-
-
 def test_constant_series_is_flat():
     m = np.full(8, 3.7)
     assert first_order_difference(m) == pytest.approx(0.0, abs=1e-15)

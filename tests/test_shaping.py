@@ -13,7 +13,6 @@ from rankdyn import (
     ema_update,
     grpo_group_advantage,
     relative_deviation,
-    rule_reward,
     shape_advantage,
     shape_from_metrics,
 )
@@ -151,13 +150,6 @@ def test_grpo_group_advantage():
         grpo_group_advantage([1.0])
 
 
-def test_rule_reward_table():
-    assert rule_reward(True, True) == 1.0
-    assert rule_reward(True, False) == 0.5
-    assert rule_reward(False, True) == -0.5
-    assert rule_reward(False, False) == -1.0
-
-
 def test_first_trajectory_is_neutral():
     config = ShapingConfig()
     outcome, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, EmaState(), config)
@@ -177,42 +169,6 @@ def test_short_trajectory_skips_shaping():
     # metrics that do exist still feed the EMA
     assert state.means["er"] == 10.0 and state.means["erv"] == 1.0
     assert state.observations["era"] == 0
-
-
-def test_two_trajectory_hand_trace_post_update():
-    config = ShapingConfig(kappa=2.0, epsilon=1e-8)
-    state = EmaState(gamma=0.9)
-    out1, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, state, config)
-    assert out1.a_hat == 0.8
-    out2, state = shape_from_metrics(12.0, 1.4, 0.7, -0.4, state, config)
-    # hand trace: mu <- 0.9*mu + 0.1*m, then d = (m - mu)/(|mu| + eps)
-    assert state.means["er"] == pytest.approx(10.2, abs=1e-12)
-    assert state.means["erv"] == pytest.approx(1.04, abs=1e-12)
-    assert state.means["era"] == pytest.approx(0.52, abs=1e-12)
-    assert out2.d0 == pytest.approx(0.1764705880622838, abs=1e-10)
-    assert out2.d1 == pytest.approx(0.3461538428254437, abs=1e-10)
-    assert out2.d2 == pytest.approx(0.34615383949704137, abs=1e-10)
-    assert out2.beta == pytest.approx(0.5856845853424199, abs=1e-10)
-    assert out2.phi == pytest.approx(0.2402469328086138, abs=1e-10)
-    # phi exceeds |a0|/kappa = 0.2, so the bonus clips
-    assert out2.a_hat == pytest.approx(-0.2, abs=1e-10)
-
-
-def test_two_trajectory_hand_trace_pre_update():
-    config = ShapingConfig(kappa=2.0, epsilon=1e-8, pre_update_deviation=True)
-    state = EmaState(gamma=0.9)
-    out1, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, state, config)
-    assert out1.d0 == 0.0 and out1.a_hat == 0.8
-    out2, state = shape_from_metrics(12.0, 1.4, 0.7, -0.4, state, config)
-    # deviations against the pre-update baselines (10, 1, 0.5)
-    assert out2.d0 == pytest.approx(0.1999999998, abs=1e-10)
-    assert out2.d1 == pytest.approx(0.39999999599999997, abs=1e-10)
-    assert out2.d2 == pytest.approx(0.399999992, abs=1e-10)
-    assert out2.beta == pytest.approx(0.5986876581903661, abs=1e-10)
-    assert out2.phi == pytest.approx(0.27064437457221935, abs=1e-10)
-    assert out2.a_hat == pytest.approx(-0.2, abs=1e-10)
-    # EMA state evolves identically regardless of deviation ordering
-    assert state.means["er"] == pytest.approx(10.2, abs=1e-12)
 
 
 def test_shape_trajectory_end_to_end():
