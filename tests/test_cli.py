@@ -225,6 +225,24 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     assert "rank-bounds,FAIL,seed 0" in out and "overall,FAIL,0/1" in out
 
 
+def test_verify_runs_every_suite_at_the_seed(capsys, monkeypatch):
+    calls = []
+    for name in verify.SUITES:
+        record = lambda seed, n=name: (calls.append((n, seed)) or True, "")  # a passing suite
+        monkeypatch.setitem(verify.SUITES, name, record)
+    assert main(["verify", "--seed", "42"]) == 0
+    assert calls == [(name, 42) for name in verify.SUITES]
+    assert f"overall,pass,{len(calls)}/{len(calls)}" in capsys.readouterr().out
+
+
+def test_cli_defaults_come_from_the_library():
+    shape = cli.build_parser().parse_args(["shape", "--manifest", "m.txt", "--out", "s.csv"])
+    library = (ShapingConfig.kappa, EmaState.gamma, ShapingConfig.epsilon)
+    assert (shape.kappa, shape.gamma, shape.eps) == library == (2.0, 0.9, 1e-8)
+    assert (shape.center, shape.engine) == (ShapingConfig.centering.value, ShapingConfig.engine.value)
+    assert (shape.center, shape.engine) == ("raw", "naive")
+
+
 def test_perfbench_hooks_resolve(monkeypatch):
     # perfbench/spans.py wraps these names by string; a rename would leave a
     # layer untimed, so the benchmark's own check would fail.
