@@ -61,8 +61,8 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
     """Metric phase of one trajectory: (values, read seconds, metric seconds).
 
     values is (T, D, er, erv, era), or (error type name, message) for a
-    RankdynError: plain values only, as the MetricSeries factor can reach
-    megabytes and FormatError(message, offset) cannot be unpickled.
+    RankdynError or an unreadable file: plain values only, as
+    FormatError(message, offset) cannot be unpickled.
     """
     clock = [time.perf_counter()]
     try:
@@ -70,7 +70,7 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
         clock.append(time.perf_counter())
         final_er, series = trajectory_metrics(matrix, stride, centering, engine)
         values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
-    except RankdynError as exc:
+    except (RankdynError, OSError) as exc:
         values = (type(exc).__name__, str(exc))
     clock.append(time.perf_counter())
     return values, clock[1] - clock[0], clock[-1] - clock[1]
@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None, fork: bool = False) -> int:
     args.fork = fork
     try:
         return args.func(args)
-    except (RankdynError, ValueError) as exc:
+    except (RankdynError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import SeriesTooShort, TrajectoryTooShort
 from .gram_stream import gram_prefix_eranks
-from .spectral import Centering, center, effective_rank, shifted, summary_from_singular_values
+from .spectral import Centering, center, shifted, summary_from_singular_values
+from .spectral import effective_rank  # noqa: F401  still hooked by this name in perfbench/
 from .tensor_io import HiddenStateMatrix
 
 DEFAULT_STRIDE = 40
@@ -43,9 +44,7 @@ class MetricSeries:
     deltas: np.ndarray  # empty when K < 2
     velocity: float | None  # defined iff K >= 2
     acceleration: float | None  # defined iff K >= 3
-    # m-by-m, m = min(T, D): the singular values of the whole (centered)
-    # trajectory, for the final metric; None from the incremental engine.
-    factor: np.ndarray | None = None
+    final: float  # the metric on all T rows, tail beyond the last step included
 
 
 def eval_steps(rows: int, stride: int, centering: Centering = Centering.RAW) -> list[int]:
@@ -89,7 +88,7 @@ def second_order_difference(prefix_values: np.ndarray) -> float:
 
 
 def series_from_values(
-    values: np.ndarray, stride: int, steps: list[int], factor: np.ndarray | None = None
+    values: np.ndarray, stride: int, steps: list[int], final: float
 ) -> MetricSeries:
     values = np.asarray(values, dtype=np.float64)
     deltas = instantaneous_deltas(values)
@@ -102,16 +101,16 @@ def series_from_values(
         deltas=deltas,
         velocity=velocity,
         acceleration=acceleration,
-        factor=factor,
+        final=float(final),
     )
 
 
 def factor_prefix_eranks(
     data: np.ndarray, steps: list[int], centering: Centering
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact effective rank of each prefix data[:t], t in the increasing steps,
-    from small triangular factors instead of an SVD of every prefix, plus an
-    m-by-m factor, m = min(T, D), of all of the (centered) data.
+) -> np.ndarray:
+    """Exact effective rank of each prefix data[:t], t in the increasing steps
+    and then t = T, from small triangular factors instead of an SVD of every
+    prefix.
 
     Prefixes with t <= D: one QR of data[:m].T gives a lower-triangular L
     with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
@@ -157,10 +156,9 @@ def factor_prefix_eranks(
             else:
                 factor = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
             block, count = factor, t
-        if t < rows:
-            sigma = np.linalg.svd(block, compute_uv=False)
-            eranks.append(summary_from_singular_values(sigma).effective_rank)
-    return np.array(eranks), block
+        sigma = np.linalg.svd(block, compute_uv=False)
+        eranks.append(summary_from_singular_values(sigma).effective_rank)
+    return np.array(eranks)
 
 
 def prefix_metric_series(
@@ -169,13 +167,12 @@ def prefix_metric_series(
     centering: Centering = Centering.RAW,
     engine: Engine = Engine.FACTOR,
 ) -> MetricSeries:
-    """Effective rank on every stride-aligned prefix, plus its differences."""
+    """Effective rank on every stride-aligned prefix, its differences, and the
+    effective rank of all T rows."""
     steps = eval_steps(matrix.rows, stride, centering)
-    if engine is Engine.INCREMENTAL_GRAM:
-        values, factor = gram_prefix_eranks(matrix.data, steps, centering), None
-    else:
-        values, factor = factor_prefix_eranks(matrix.data, steps, centering)
-    return series_from_values(values, stride, steps, factor)
+    eranks = gram_prefix_eranks if engine is Engine.INCREMENTAL_GRAM else factor_prefix_eranks
+    *values, final = eranks(matrix.data, steps, centering)
+    return series_from_values(values, stride, steps, final)
 
 
 def trajectory_metrics(
@@ -184,15 +181,6 @@ def trajectory_metrics(
     centering: Centering = Centering.RAW,
     engine: Engine = Engine.FACTOR,
 ) -> tuple[float, MetricSeries]:
-    """(final full-matrix effective rank, prefix metric series).
-
-    The final metric always uses all T rows, even the tail beyond the last
-    stride-aligned step.
-    """
+    """(final full-matrix effective rank, prefix metric series)."""
     series = prefix_metric_series(matrix, stride, centering, engine)
-    if series.factor is not None:
-        # Already centered, and it holds the tail rows as well.
-        matrix, centering = HiddenStateMatrix(series.factor), Centering.RAW
-    else:
-        matrix = HiddenStateMatrix(shifted(matrix.data, series.eval_steps, centering))
-    return effective_rank(matrix, centering), series
+    return series.final, series

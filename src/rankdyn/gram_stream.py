@@ -9,7 +9,8 @@ means of that block:
     G_c = G - r 1^T - 1 r^T + mean(r)
 
 Longer prefixes accumulate the D-by-D scatter S = Z^T Z and the row sum s
-chunk by chunk, centered as S - s s^T / t. Effective rank then comes from the
+chunk by chunk, centered as S - s s^T / t. All T rows, for the final metric,
+take the same path as a prefix of T rows. Effective rank then comes from the
 eigenvalues, sigma_j = sqrt(lambda_j). A Gram matrix squares the condition
 number of the rows, so this engine trails a per-prefix SVD on
 ill-conditioned inputs.
@@ -66,15 +67,17 @@ def erank_from_gram(gram: np.ndarray) -> float:
 def gram_prefix_eranks(
     data: np.ndarray, steps: list[int], centering: Centering
 ) -> np.ndarray:
-    """Effective rank of each prefix data[:t], t in the increasing steps."""
+    """Effective rank of each prefix data[:t], t in the increasing steps and
+    then t = T."""
     data = shifted(data, steps, centering)
-    dims = data.shape[1]
+    rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
-    head = data[: max((t for t in steps if t <= dims), default=0)]
+    ends = [*steps, rows]
+    head = data[: max((t for t in ends if t <= dims), default=0)]
     head_gram = head @ head.T
     state = GramStreamState(dims)
     eranks = []
-    for t in steps:
+    for t in ends:
         if t <= dims:
             gram = head_gram[:t, :t]
             if centered:

@@ -96,11 +96,9 @@ def test_05_construction_complexity():
         lambda m=m: prefix_metric_series(m, stride, engine=Engine.INCREMENTAL_GRAM)
         for m in matrices
     ]
-    seconds = [median_seconds(run)[0] for run in runs[:-1]]
-    # At T=2048 the engine and the oracle take turns, so a change in load hits both.
-    last, oracle = median_seconds(runs[-1], lambda: prefix_svd_oracle(matrices[-1], stride))
-    seconds.append(last)
-    speedup = oracle / last
+    # The sizes and the oracle take turns in every round, so a change in load hits all four.
+    *seconds, oracle = median_seconds(*runs, lambda: prefix_svd_oracle(matrices[-1], stride))
+    speedup = oracle / seconds[-1]
     assert speedup >= 5.0
     r2 = linear_fit_r2(sizes, seconds)
     assert r2 >= 0.95
@@ -126,7 +124,7 @@ def test_07_gradient_checks():
             (dynamic_weights(d2 + h)[0] - dynamic_weights(d2 - h)[0]) / (2 * h),
         )
         for a, f in zip(analytic, fd):
-            assert abs(f - a) <= 1e-4 * max(abs(a), 1e-12)
+            assert abs(f - a) <= min(1e-6, 1e-4 * max(abs(a), 1e-12))
         assert analytic[2] > 0  # beta strictly increasing in d2
     report("7 (gradient checks at 100 points)")
 

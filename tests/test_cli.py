@@ -94,6 +94,43 @@ def test_metrics_bad_file_reported_not_fatal(tmp_path):
     assert rows[2][6].startswith("BadMagic")
 
 
+def test_metrics_unreadable_file_reported_not_fatal(tmp_path):
+    # a glob match that is a directory, and one that is a dangling link
+    write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
+    (tmp_path / "b.hsmx").mkdir()
+    (tmp_path / "c.hsmx").symlink_to(tmp_path / "gone.hsmx")
+    out = tmp_path / "m.csv"
+    assert main(["metrics", "--in", str(tmp_path / "*.hsmx"), "--out", str(out)]) == 0
+    errors = [row[6] for row in read_csv(out)[1:]]
+    assert errors[0] == ""
+    assert errors[1].startswith("IsADirectoryError: ") and str(tmp_path / "b.hsmx") in errors[1]
+    assert errors[2].startswith("FileNotFoundError: ") and str(tmp_path / "c.hsmx") in errors[2]
+
+
+def test_unreadable_input_or_output_exits_2(tmp_path, capsys):
+    write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
+    missing = tmp_path / "gone" / "x"
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"{tmp_path / 'a.hsmx'},g0,1,1\n{missing},g0,0,1\n")
+    metrics = ["metrics", "--in", str(tmp_path / "a.hsmx")]
+    for argv, message in [
+        (["shape", "--manifest", str(missing), "--out", str(tmp_path / "s.csv")], str(missing)),
+        (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")],
+         f"{missing}: FileNotFoundError: "),
+        (metrics + ["--out", str(missing)], str(missing)),
+        (metrics + ["--out", str(tmp_path / "m.csv"), "--stats", str(missing)], str(missing)),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "s.csv").exists()
+    # Run as a program: the same exit code, and no traceback.
+    proc = run_cli("shape", "--manifest", manifest, "--out", tmp_path / "s.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {missing}: FileNotFoundError: [Errno 2] ")
+    assert "Traceback" not in proc.stderr
+
+
 def make_manifest(tmp_path, n_groups=2, group_size=4, rows=96):
     lines = []
     idx = 0

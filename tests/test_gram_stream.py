@@ -134,4 +134,4 @@ def test_centered_stream_stride_one_starts_at_two_rows():
         HiddenStateMatrix(data), 1, Centering.ROW_MEAN_CENTERED, Engine.FACTOR
     )
     assert factor.eval_steps == (2, 3, 4)
-    np.testing.assert_allclose(streamed, factor.prefix_values, rtol=1e-8)
+    np.testing.assert_allclose(streamed, [*factor.prefix_values, factor.final], rtol=1e-8)

@@ -89,7 +89,7 @@ def test_shape_advantage_hand_examples():
 def test_shaping_bounds_property(a0, phi, kappa):
     a_hat = shape_advantage(a0, phi, kappa)
     bonus = a_hat - a0
-    assert -1e-15 <= bonus <= abs(a0) / kappa + 1e-12
+    assert 0.0 <= bonus <= abs(a0) / kappa + 1e-15
     if a0 > 0.0:
         assert a_hat > 0.0
     elif a0 < 0.0:
@@ -97,39 +97,6 @@ def test_shaping_bounds_property(a0, phi, kappa):
         assert a_hat <= 0.0
         if kappa > 1.0:
             assert a_hat < 0.0
-
-
-def test_shape_monotone_in_phi():
-    for a0 in (-2.0, -0.1, 0.0, 0.1, 2.0):
-        grid = np.linspace(-2, 2, 81)
-        shaped = [shape_advantage(a0, p, 2.0) for p in grid]
-        assert all(b >= a - 1e-15 for a, b in zip(shaped, shaped[1:]))
-
-
-def test_gradient_checks():
-    rng = np.random.default_rng(0)
-    h = 1e-6
-    for _ in range(100):
-        d0, d1, d2 = rng.standard_normal(3) * 2.0
-        beta, w0, w1 = dynamic_weights(d2)
-        # analytic dPhi/dd0 = w0 * sech^2(d0), dPhi/dd1 = w1 * sech^2(d1)
-        analytic0 = w0 / math.cosh(d0) ** 2
-        analytic1 = w1 / math.cosh(d1) ** 2
-        fd0 = (
-            auxiliary_advantage(d0 + h, d1, (w0, w1))
-            - auxiliary_advantage(d0 - h, d1, (w0, w1))
-        ) / (2 * h)
-        fd1 = (
-            auxiliary_advantage(d0, d1 + h, (w0, w1))
-            - auxiliary_advantage(d0, d1 - h, (w0, w1))
-        ) / (2 * h)
-        assert abs(fd0 - analytic0) < 1e-6
-        assert abs(fd1 - analytic1) < 1e-6
-        # dbeta/dd2 = beta * (1 - beta) > 0 everywhere
-        analytic_beta = beta * (1 - beta)
-        fd_beta = (dynamic_weights(d2 + h)[0] - dynamic_weights(d2 - h)[0]) / (2 * h)
-        assert analytic_beta > 0
-        assert abs(fd_beta - analytic_beta) <= 1e-4 * abs(analytic_beta)
 
 
 def test_grpo_group_advantage():
