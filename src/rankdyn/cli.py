@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import glob as globlib
 import math
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -90,6 +92,18 @@ def usable_cpus() -> int:
         return cpus or 1
 
 
+def die_with_parent(parent: int) -> None:
+    """Pool initializer: the kernel SIGKILLs this worker when its parent dies,
+    even by a SIGKILL that no handler sees; a parent gone before prctl ran is
+    caught by getppid. Does nothing where libc has no prctl (off Linux)."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
+
+
 def metric_phase(
     paths: list[str], stride: int, centering: Centering, engine: Engine, fork: bool
 ) -> tuple[list[tuple], dict]:
@@ -97,7 +111,8 @@ def metric_phase(
 
     With fork, one worker per usable CPU and trajectory at most, forked (a
     spawned one would import numpy anew); a worker that dies raises
-    BrokenProcessPool. BLAS runs on one thread on every path, so no float
+    BrokenProcessPool, and the workers of a killed parent die with it
+    (die_with_parent). BLAS runs on one thread on every path, so no float
     depends on the worker count; with no known BLAS to pin, all runs in-process.
     """
     from .lapack import qr_kernels, single_threaded_blas
@@ -114,7 +129,9 @@ def metric_phase(
             from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
 
-            with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                     initializer=die_with_parent,
+                                     initargs=(os.getpid(),)) as pool:
                 results = list(pool.map(job, paths))
     errors = [values[0] for values, _, _ in results if len(values) == 2]
     report = {
@@ -127,6 +144,13 @@ def metric_phase(
         "errors": {name: errors.count(name) for name in sorted(set(errors))},
     }
     return [r[0] for r in results], report
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Fail before the metric phase, writing nothing, if an output's directory is missing."""
+    for path in filter(None, (args.out, args.stats)):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"{path}: no such directory {Path(path).parent}")
 
 
 def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], report: dict,
@@ -145,6 +169,7 @@ def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], 
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _check_outputs(args)
     paths = sorted(globlib.glob(args.input))
     if not paths:
         print(f"error: no files match {args.input!r}", file=sys.stderr)
@@ -186,12 +211,10 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def cmd_shape(args: argparse.Namespace) -> int:
+    _check_outputs(args)
     config = ShapingConfig(
         kappa=args.kappa,
         epsilon=args.eps,
-        stride=args.stride,
-        centering=Centering(args.center),
-        engine=Engine(args.engine),
         pre_update_deviation=args.pre_update_deviation,
     )
     # EMA baselines evolve in manifest order across the whole run.
@@ -214,7 +237,8 @@ def cmd_shape(args: argparse.Namespace) -> int:
             base[i] = adv
 
     results, report = metric_phase(
-        [e.path for e in entries], config.stride, config.centering, config.engine, args.fork
+        [e.path for e in entries], args.stride, Centering(args.center), Engine(args.engine),
+        args.fork,
     )
     shaping_start = time.perf_counter()
     rows = []
@@ -292,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_metric_flags(p):
         p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
         p.add_argument("--center", choices=[c.value for c in Centering],
-                       default=ShapingConfig.centering.value)
+                       default=Centering.RAW.value)
         p.add_argument("--engine", choices=[e.value for e in Engine],
-                       default=ShapingConfig.engine.value)
+                       default=Engine.FACTOR.value)
         p.add_argument("--stats", help="write a JSON run report (stage times, row counts) here")
 
     p = sub.add_parser("metrics", help="per-trajectory metric table from HSMX files")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import SeriesTooShort, TrajectoryTooShort
 from .gram_stream import gram_prefix_eranks
+from .lapack import fold_rows, row_factor
 from .spectral import Centering, center, shifted, summary_from_singular_values
 from .spectral import effective_rank  # noqa: F401  still hooked by this name in perfbench/
 from .tensor_io import HiddenStateMatrix
@@ -38,7 +39,6 @@ class Engine(enum.Enum):
 
 @dataclass(frozen=True)
 class MetricSeries:
-    stride: int
     eval_steps: tuple[int, ...]
     prefix_values: np.ndarray
     deltas: np.ndarray  # empty when K < 2
@@ -87,20 +87,14 @@ def second_order_difference(prefix_values: np.ndarray) -> float:
     return float(np.diff(deltas).mean())
 
 
-def series_from_values(
-    values: np.ndarray, stride: int, steps: list[int], final: float
-) -> MetricSeries:
+def series_from_values(values: np.ndarray, steps: list[int], final: float) -> MetricSeries:
     values = np.asarray(values, dtype=np.float64)
-    deltas = instantaneous_deltas(values)
-    velocity = float(deltas.mean()) if deltas.size >= 1 else None
-    acceleration = float(np.diff(deltas).mean()) if deltas.size >= 2 else None
     return MetricSeries(
-        stride=stride,
         eval_steps=tuple(steps),
         prefix_values=values,
-        deltas=deltas,
-        velocity=velocity,
-        acceleration=acceleration,
+        deltas=instantaneous_deltas(values),
+        velocity=first_order_difference(values) if values.size >= 2 else None,
+        acceleration=second_order_difference(values) if values.size >= 3 else None,
         final=float(final),
     )
 
@@ -126,19 +120,16 @@ def factor_prefix_eranks(
     Gram matrix is formed and no raw moments are subtracted, so the values
     keep the accuracy of an SVD of each prefix.
 
-    Both QRs run on the LAPACK kernels of `lapack.qr_kernels` (dgeqrt, and a
-    dtpqrt update of R in place), or on np.linalg.qr where those are absent.
+    Both QRs are `lapack.row_factor` and `lapack.fold_rows`, the latter on an
+    R that starts at zero.
     """
-    from .lapack import fold_rows, qr_kernels, row_factor
-
-    kernels = qr_kernels() is not None
     data = shifted(data, steps, centering)
     rows, dims = data.shape
     if steps[0] <= dims:
-        head = data[: min(rows, dims)]
-        lower = row_factor(head) if kernels else np.linalg.qr(head.T, mode="r").T
+        lower = row_factor(data[: min(rows, dims)])
+    if rows > dims:
+        factor = np.zeros((dims, dims), order="F")
     eranks = []
-    factor = np.zeros((dims, dims), order="F") if kernels and rows > dims else np.empty((0, dims))
     count, mean = 0, np.zeros(dims)
     for t in [*steps, rows]:
         if t <= dims:
@@ -151,10 +142,7 @@ def factor_prefix_eranks(
                 shift = math.sqrt(count * b / t) * (chunk_mean - mean)
                 chunk = np.vstack([chunk - chunk_mean, shift])
                 mean = mean + (chunk_mean - mean) * (b / t)
-            if kernels:
-                fold_rows(factor, chunk)
-            else:
-                factor = np.linalg.qr(np.vstack([factor, chunk]), mode="r")
+            fold_rows(factor, chunk)
             block, count = factor, t
         sigma = np.linalg.svd(block, compute_uv=False)
         eranks.append(summary_from_singular_values(sigma).effective_rank)
@@ -172,7 +160,7 @@ def prefix_metric_series(
     steps = eval_steps(matrix.rows, stride, centering)
     eranks = gram_prefix_eranks if engine is Engine.INCREMENTAL_GRAM else factor_prefix_eranks
     *values, final = eranks(matrix.data, steps, centering)
-    return series_from_values(values, stride, steps, final)
+    return series_from_values(values, steps, final)
 
 
 def trajectory_metrics(

@@ -1,7 +1,8 @@
 """The OpenBLAS that numpy loaded, reached through ctypes on first use, never at
 import: its thread count, and the LAPACK QR kernels dgeqrt (recursive, BLAS-3
 panels; Elmroth & Gustavson, IBM J. R&D 2000) and dtpqrt (the triangle-plus-rows
-QR of TSQR; Demmel et al., SISC 2012). Its symbols carry an optional `scipy_`
+QR of TSQR; Demmel et al., SISC 2012), which row_factor and fold_rows run, or
+np.linalg.qr where they are absent. Its symbols carry an optional `scipy_`
 prefix, and a `64_` suffix that means 64-bit integer arguments.
 """
 
@@ -88,6 +89,8 @@ def row_factor(rows: np.ndarray) -> np.ndarray:
     """Lower-triangular m-by-m L with rows = L Q^T, for m-by-D rows, m <= D.
     dgeqrt factors a C-order copy in place as the D-by-m column-major matrix,
     so L is the lower triangle of its leading block."""
+    if qr_kernels() is None:
+        return np.linalg.qr(rows.T, mode="r").T
     a = np.array(rows, dtype=np.float64, order="C")  # owned: dgeqrt overwrites it
     m, dims = a.shape
     nb = min(BLOCK, m)
@@ -98,6 +101,9 @@ def row_factor(rows: np.ndarray) -> np.ndarray:
 def fold_rows(r: np.ndarray, chunk: np.ndarray) -> None:
     """R <- the R factor of [R; chunk] in place, in O(b D^2) for b rows. R is
     F-contiguous, D-by-D, upper triangular with a zero lower triangle."""
+    if qr_kernels() is None:
+        r[:] = np.linalg.qr(np.vstack([r, chunk]), mode="r")
+        return
     b = np.array(chunk, dtype=np.float64, order="F")  # owned: dtpqrt overwrites it
     rows, dims = b.shape
     nb = min(BLOCK, dims)

@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DEFAULT_STRIDE, Engine
 from .errors import GroupTooSmall
-from .spectral import Centering
 
 METRICS = ("er", "erv", "era")
 
@@ -83,9 +81,6 @@ class ShapingConfig:
 
     kappa: float = 2.0
     epsilon: float = 1e-8
-    stride: int = DEFAULT_STRIDE
-    centering: Centering = Centering.RAW
-    engine: Engine = Engine.FACTOR
     pre_update_deviation: bool = False
 
     def __post_init__(self):
@@ -93,8 +88,6 @@ class ShapingConfig:
             raise ValueError("kappa must be positive and finite")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import csv
 import importlib.util
+import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from rankdyn import cli, verify
 from rankdyn.cli import main, parse_generator_spec, read_manifest, usable_cpus
 from rankdyn.dynamics import Engine
 from rankdyn.errors import GroupTooSmall, ManifestError
-from rankdyn.lapack import qr_kernels
+from rankdyn.lapack import openblas, qr_kernels
 from rankdyn.spectral import Centering
 from rankdyn.tensor_io import HEADER_SIZE, OrthogonalRows
 
@@ -107,7 +110,7 @@ def test_metrics_unreadable_file_reported_not_fatal(tmp_path):
     assert errors[2].startswith("FileNotFoundError: ") and str(tmp_path / "c.hsmx") in errors[2]
 
 
-def test_unreadable_input_or_output_exits_2(tmp_path, capsys):
+def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
     missing = tmp_path / "gone" / "x"
     manifest = tmp_path / "m.txt"
@@ -117,18 +120,36 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys):
         (["shape", "--manifest", str(missing), "--out", str(tmp_path / "s.csv")], str(missing)),
         (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv")],
          f"{missing}: FileNotFoundError: "),
-        (metrics + ["--out", str(missing)], str(missing)),
-        (metrics + ["--out", str(tmp_path / "m.csv"), "--stats", str(missing)], str(missing)),
     ]:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-    assert not (tmp_path / "s.csv").exists()
+    # An output in a missing directory fails before the metric phase runs.
+    monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
+    for argv in [
+        ["shape", "--manifest", str(manifest), "--out", str(missing)],
+        metrics + ["--out", str(missing)],
+        metrics + ["--out", str(tmp_path / "m.csv"), "--stats", str(missing)],
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.csv").exists()
     # Run as a program: the same exit code, and no traceback.
     proc = run_cli("shape", "--manifest", manifest, "--out", tmp_path / "s.csv")
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {missing}: FileNotFoundError: [Errno 2] ")
     assert "Traceback" not in proc.stderr
+
+
+def test_stride_below_one_exits_2(tmp_path, capsys):
+    manifest = make_manifest(tmp_path, n_groups=1, group_size=2)
+    out = tmp_path / "o.csv"
+    for argv in [["metrics", "--in", str(tmp_path / "*.hsmx")],
+                 ["shape", "--manifest", str(manifest)]]:
+        assert main([*argv, "--out", str(out), "--stride", "0"]) == 2
+        assert capsys.readouterr().err == "error: stride must be >= 1\n"
+        assert not out.exists()
 
 
 def make_manifest(tmp_path, n_groups=2, group_size=4, rows=96):
@@ -208,7 +229,7 @@ def test_shape_short_rollout_skipped_not_fatal(tmp_path):
     assert [r[0] for r in rows[1:]] == ["t0", "t1", "t2"]
     short = rows[2]
     assert short[4:9] == [""] * 5 and short[9] == short[3] and float(short[3]) != 0.0
-    config = ShapingConfig(stride=8)
+    config = ShapingConfig()
     state = EmaState()
     for i in (0, 2):
         final_er, series = trajectory_metrics(read_matrix(tmp_path / f"t{i}.hsmx"), 8)
@@ -276,8 +297,9 @@ def test_cli_defaults_come_from_the_library():
     shape = cli.build_parser().parse_args(["shape", "--manifest", "m.txt", "--out", "s.csv"])
     library = (ShapingConfig.kappa, EmaState.gamma, ShapingConfig.epsilon)
     assert (shape.kappa, shape.gamma, shape.eps) == library == (2.0, 0.9, 1e-8)
-    assert (shape.center, shape.engine) == (ShapingConfig.centering.value, ShapingConfig.engine.value)
-    assert (shape.center, shape.engine) == ("raw", "naive")
+    defaults = inspect.signature(trajectory_metrics).parameters
+    library = (defaults["centering"].default.value, defaults["engine"].default.value)
+    assert (shape.center, shape.engine) == library == ("raw", "naive")
 
 
 def test_perfbench_hooks_resolve(monkeypatch):
@@ -454,6 +476,63 @@ def test_dead_worker_fails_the_run(tmp_path):
                    program=("-c", kill))
     assert proc.returncode == 1 and "BrokenProcessPool" in proc.stderr
     assert not out.exists()
+
+
+# Each worker records its pid, then holds its trajectory; once both hold one,
+# the CLI SIGKILLs itself, as a caller's Popen.kill() would. A worker lets go
+# of the CLI's stdout and stderr, so run_cli returns when the CLI dies.
+HOLD_THEN_KILL_CLI = """
+import os, signal, threading, time
+from rankdyn import cli
+
+def hold(path):
+    open(os.path.join({pids!r}, str(os.getpid())), "w").close()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    time.sleep(60)
+
+def kill_cli_once_both_hold():
+    while len(os.listdir({pids!r})) < 2:
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+cli.read_matrix = hold
+threading.Thread(target=kill_cli_once_both_hold, daemon=True).start()
+cli.run()
+"""
+
+
+def running(pid):
+    """True unless the process is gone or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or usable_cpus() < 2 or openblas() is None,
+                    reason="needs Linux and a forking metric phase (two CPUs, a pinnable BLAS)")
+def test_workers_die_with_a_killed_cli(tmp_path):
+    write_trajectory(tmp_path / "a.hsmx", 96, 8, seed=0)
+    write_trajectory(tmp_path / "b.hsmx", 96, 8, seed=1)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    try:
+        proc = run_cli("metrics", "--in", tmp_path / "*.hsmx", "--out", tmp_path / "m.csv",
+                       program=("-c", HOLD_THEN_KILL_CLI.format(pids=str(pids))))
+        assert proc.returncode == -signal.SIGKILL
+        workers = [int(p.name) for p in pids.iterdir()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, workers))
+    finally:
+        for pid in [int(p.name) for p in pids.iterdir()]:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_stride_one_centered_runs_on_both_engines(tmp_path):

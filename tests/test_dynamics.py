@@ -67,11 +67,11 @@ def test_series_too_short():
 
 
 def test_definedness_rules():
-    one = series_from_values(np.array([1.0]), 1, [1], 2.0)
+    one = series_from_values(np.array([1.0]), [1], 2.0)
     assert one.deltas.size == 0 and one.velocity is None and one.acceleration is None
-    two = series_from_values(np.array([1.0, 2.0]), 1, [1, 2], 3.0)
+    two = series_from_values(np.array([1.0, 2.0]), [1, 2], 3.0)
     assert two.velocity is not None and two.acceleration is None
-    three = series_from_values(np.array([1.0, 2.0, 4.0]), 1, [1, 2, 3], 5.0)
+    three = series_from_values(np.array([1.0, 2.0, 4.0]), [1, 2, 3], 5.0)
     assert three.velocity is not None and three.acceleration is not None
 
 
@@ -143,7 +143,7 @@ def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
     assert engine_drift(matrix, stride, centering, Engine.FACTOR) <= 1e-12
     series = prefix_metric_series(matrix, stride, centering)
     *oracle, final = prefix_svd_oracle(matrix, stride, centering)
-    expected = series_from_values(oracle, stride, eval_steps(rows, stride, centering), final)
+    expected = series_from_values(oracle, eval_steps(rows, stride, centering), final)
     assert series.eval_steps == expected.eval_steps
     scale = max(oracle)
     pairs = [(series.velocity, expected.velocity), (series.acceleration, expected.acceleration)]

@@ -34,11 +34,9 @@ def test_kernel_misuse_raises():
 
 
 def without_kernels(monkeypatch, run):
-    """run() on the np.linalg.qr fallback; calling a kernel would raise."""
+    """run() on the np.linalg.qr fallback of row_factor and fold_rows."""
     with monkeypatch.context() as patch:
         patch.setattr(lapack, "qr_kernels", lambda: None)
-        patch.setattr(lapack, "row_factor", None)
-        patch.setattr(lapack, "fold_rows", None)
         return run()
 
 

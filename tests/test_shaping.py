@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ def test_grpo_group_advantage():
         grpo_group_advantage([1.0])
 
 
+def test_shaping_config_holds_only_shaping_settings():
+    # Stride, centering and engine are arguments of trajectory_metrics.
+    assert [f.name for f in fields(ShapingConfig)] == ["kappa", "epsilon", "pre_update_deviation"]
+    with pytest.raises(TypeError):
+        ShapingConfig(stride=8)
+
+
 def test_first_trajectory_is_neutral():
     config = ShapingConfig()
     outcome, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, EmaState(), config)
@@ -141,11 +149,11 @@ def test_short_trajectory_skips_shaping():
 def test_shape_trajectory_end_to_end():
     from rankdyn import GaussianIID, generate_synthetic, trajectory_metrics
 
-    config = ShapingConfig(stride=8)
+    config = ShapingConfig()
     state = EmaState()
     for seed, a0 in [(0, 0.5), (1, -0.5)]:
         matrix = generate_synthetic(GaussianIID(96, 8), seed)
-        final_er, series = trajectory_metrics(matrix, config.stride)
+        final_er, series = trajectory_metrics(matrix, 8)
         outcome, state = shape_from_metrics(
             final_er, series.velocity, series.acceleration, a0, state, config
         )
