@@ -31,9 +31,7 @@ from .tensor_io import (
     MatrixKind,
     OrthogonalRows,
     generate_synthetic,
-    mean_pool_response,
     read_matrix,
-    stack_dataset,
     write_matrix,
 )
 

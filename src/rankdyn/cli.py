@@ -5,7 +5,6 @@ Subcommands::
     metrics  --in <glob> --out <csv>      per-trajectory er/erv/era table
     shape    --manifest <path> --out <csv>  full shaping pipeline over a batch
     verify   [--suite name] [--seed N]    run the self-check suites
-    synth    --spec <string> --seed N --out <path>   write synthetic HSMX files
 
 Manifest format: one record per line, `path,group_id,is_correct(0|1),has_boxed(0|1)`,
 `#` starts a comment. Floats are rendered with 17 significant digits so CSVs
@@ -42,14 +41,7 @@ from .shaping import (
     shape_from_metrics,
 )
 from .spectral import Centering
-from .tensor_io import (
-    GaussianIID,
-    LowRank,
-    OrthogonalRows,
-    generate_synthetic,
-    read_matrix,
-    write_matrix,
-)
+from .tensor_io import read_matrix
 
 METRICS_HEADER = ["id", "T", "D", "er", "erv", "era", "error"]
 SHAPE_HEADER = ["id", "group", "reward", "a0", "d0", "d1", "d2", "beta", "phi", "a_hat"]
@@ -79,17 +71,21 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
 
 
 CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "quota period" or "max period"
+CFS_QUOTA = Path("/sys/fs/cgroup/cpu/cpu.cfs_quota_us")  # cgroup v1 CPU quota, -1 for none
+CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
 
 
 def usable_cpus() -> int:
-    """The CPU affinity, capped at ceil(quota / period) of a cgroup v2 CPU
-    quota; "max" or no CPU_MAX file sets no cap."""
+    """The CPU affinity, capped at ceil(quota / period) of a cgroup CPU quota:
+    CPU_MAX (v2) where it exists, else CFS_QUOTA over CFS_PERIOD (v1). "max",
+    -1 or no quota file sets no cap."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    files = [CPU_MAX] if CPU_MAX.exists() else [CFS_QUOTA, CFS_PERIOD]
     try:
-        quota, period = CPU_MAX.read_text().split()
-        return min(cpus or 1, math.ceil(int(quota) / int(period)))
+        quota, period = (int(field) for path in files for field in path.read_text().split())
     except (OSError, ValueError):
         return cpus or 1
+    return min(cpus or 1, math.ceil(quota / period)) if quota > 0 else cpus or 1
 
 
 def die_with_parent(parent: int) -> None:
@@ -270,38 +266,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def parse_generator_spec(text: str) -> object:
-    """Parse e.g. 'orthogonal:k=16,D=64,row_norm=1.0' into a generator spec."""
-    kind, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            params[key.strip()] = value.strip()
-    try:
-        if kind == "orthogonal":
-            return OrthogonalRows(
-                int(params["k"]), int(params["D"]), float(params.get("row_norm", "1.0"))
-            )
-        if kind == "gaussian":
-            return GaussianIID(
-                int(params["T"]), int(params["D"]), float(params.get("sigma", "1.0"))
-            )
-        if kind == "lowrank":
-            return LowRank(int(params["T"]), int(params["D"]), int(params["r"]))
-    except KeyError as exc:
-        raise ValueError(f"generator spec {text!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    spec = parse_generator_spec(args.spec)
-    matrix = generate_synthetic(spec, args.seed)
-    write_matrix(matrix, args.out)
-    print(f"wrote {matrix.rows}x{matrix.cols} matrix to {args.out}")
-    return 0
-
-
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -343,12 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(verifymod.SUITES), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("synth", help="write a synthetic HSMX file")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 

@@ -41,7 +41,6 @@ class Engine(enum.Enum):
 class MetricSeries:
     eval_steps: tuple[int, ...]
     prefix_values: np.ndarray
-    deltas: np.ndarray  # empty when K < 2
     velocity: float | None  # defined iff K >= 2
     acceleration: float | None  # defined iff K >= 3
     final: float  # the metric on all T rows, tail beyond the last step included
@@ -92,7 +91,6 @@ def series_from_values(values: np.ndarray, steps: list[int], final: float) -> Me
     return MetricSeries(
         eval_steps=tuple(steps),
         prefix_values=values,
-        deltas=instantaneous_deltas(values),
         velocity=first_order_difference(values) if values.size >= 2 else None,
         acceleration=second_order_difference(values) if values.size >= 3 else None,
         final=float(final),

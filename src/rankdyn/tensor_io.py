@@ -126,24 +126,6 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
     return HiddenStateMatrix(data, MatrixKind(kind_flag))
 
 
-def mean_pool_response(matrix: HiddenStateMatrix) -> np.ndarray:
-    """Average the token hidden states of one response into a single D-vector."""
-    if matrix.kind is not MatrixKind.RESPONSE:
-        raise DimensionMismatch("mean_pool_response expects a Response-kind matrix")
-    return matrix.data.mean(axis=0)
-
-
-def stack_dataset(responses: list[HiddenStateMatrix]) -> HiddenStateMatrix:
-    """Stack per-response mean embeddings into an N-by-D dataset matrix."""
-    if not responses:
-        raise DimensionMismatch("stack_dataset requires at least one response")
-    dims = {m.cols for m in responses}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"responses disagree on feature dimension: {sorted(dims)}")
-    rows = np.stack([mean_pool_response(m) for m in responses])
-    return HiddenStateMatrix(rows, MatrixKind.DATASET)
-
-
 # --- synthetic generators -------------------------------------------------
 
 

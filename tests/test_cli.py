@@ -24,12 +24,12 @@ from rankdyn import (
     write_matrix,
 )
 from rankdyn import cli, verify
-from rankdyn.cli import main, parse_generator_spec, read_manifest, usable_cpus
+from rankdyn.cli import main, read_manifest, usable_cpus
 from rankdyn.dynamics import Engine
 from rankdyn.errors import GroupTooSmall, ManifestError
 from rankdyn.lapack import openblas, qr_kernels
 from rankdyn.spectral import Centering
-from rankdyn.tensor_io import HEADER_SIZE, OrthogonalRows
+from rankdyn.tensor_io import HEADER_SIZE
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -302,7 +302,7 @@ def test_cli_defaults_come_from_the_library():
     assert (shape.center, shape.engine) == library == ("raw", "naive")
 
 
-def test_perfbench_hooks_resolve(monkeypatch):
+def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
     # perfbench/spans.py wraps these names by string; a rename would leave a
     # layer untimed, so the benchmark's own check would fail.
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
@@ -311,31 +311,30 @@ def test_perfbench_hooks_resolve(monkeypatch):
     spec.loader.exec_module(spans)
     assert spans.Tracer().absent == []
     assert Engine.NAIVE_SVD is Engine.FACTOR  # spelled so in perfbench/
-
-
-def test_synth_command(tmp_path, capsys):
-    out = tmp_path / "o.hsmx"
-    assert main(["synth", "--spec", "orthogonal:k=16,D=64", "--seed", "1", "--out", str(out)]) == 0
-    matrix = read_matrix(out)
-    assert matrix.data.shape == (16, 64)
-    out2 = tmp_path / "o2.hsmx"
-    assert main(["synth", "--spec", "orthogonal:k=16,D=64", "--seed", "1", "--out", str(out2)]) == 0
-    assert out.read_bytes() == out2.read_bytes()
-
-
-def test_synth_infeasible_spec(tmp_path):
-    rc = main(["synth", "--spec", "lowrank:T=4,D=3,r=5", "--seed", "0", "--out", str(tmp_path / "x.hsmx")])
-    assert rc == 2
-
-
-def test_parse_generator_spec():
-    spec = parse_generator_spec("gaussian:T=10,D=4,sigma=2.0")
-    assert spec == GaussianIID(10, 4, 2.0)
-    assert parse_generator_spec("orthogonal:k=3,D=5") == OrthogonalRows(3, 5, 1.0)
-    with pytest.raises(ValueError):
-        parse_generator_spec("mystery:x=1")
-    with pytest.raises(ValueError):
-        parse_generator_spec("lowrank:T=4,D=3")
+    # It also reads attributes of what the hooks get and return: one traced
+    # run of each command must fill the layer counts. At stride 40 the four
+    # trajectories have 2, 0, 4 and 2 prefixes; only T = 200 has an ERA, and
+    # its bonus (phi 0.072) passes the clip |a0| / kappa = 0.01.
+    manifest = tmp_path / "m.txt"
+    for i, rows in enumerate([120, 30, 200, 90]):
+        matrix = generate_synthetic(GaussianIID(rows, 16), seed=i)
+        write_matrix(matrix, tmp_path / f"t{i}.hsmx", dtype="f32")
+        with manifest.open("a") as fh:
+            fh.write(f"{tmp_path / f't{i}.hsmx'},g,{i % 2},1\n")
+    out = tmp_path / "out.csv"
+    commands = [
+        ["metrics", "--in", tmp_path / "*.hsmx", "--engine", "incremental", "--center", "rowmean"],
+        ["shape", "--manifest", manifest, "--kappa", "100"],
+    ]
+    layers = {}
+    for argv in commands:
+        code, recorder = spans.Tracer().run(main, [str(a) for a in argv + ["--out", out]])
+        assert code == 0
+        layers[argv[0]] = spans.layer_metrics([recorder], [out.stat().st_size])
+    metrics, shape = layers["metrics"], layers["shape"]
+    assert metrics["dynamics.prefixes"] == shape["dynamics.prefixes"] == 8
+    assert metrics["gram_stream.eig_calls"] > 0
+    assert (shape["shaping.shaped"], shape["shaping.skipped"], shape["shaping.clipped"]) == (1, 2, 1)
 
 
 def test_inputs_never_mutated(tmp_path):
@@ -425,7 +424,15 @@ def test_numpy_qr_fallback_bytes_do_not_depend_on_worker_count(tmp_path, center)
 def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
     affinity = len(os.sched_getaffinity(0))
     monkeypatch.setattr(cli, "CPU_MAX", tmp_path / "cpu.max")
-    assert usable_cpus() == affinity  # no cpu.max file: no cap
+    monkeypatch.setattr(cli, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
+    monkeypatch.setattr(cli, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
+    assert usable_cpus() == affinity  # no quota file: no cap
+    # cgroup v1: quota and period in two files, -1 for no quota
+    cli.CFS_PERIOD.write_text("100000\n")
+    for quota, cap in [("-1", affinity), ("150000", 2), ("100000", 1), ("50000", 1)]:
+        cli.CFS_QUOTA.write_text(quota + "\n")
+        assert usable_cpus() == min(affinity, cap)
+    # cgroup v2: cpu.max, where it exists, overrides the v1 files
     for text, cap in [("max 100000\n", affinity), ("150000 100000\n", 2),
                       ("100000 100000\n", 1), ("50000 100000\n", 1)]:
         cli.CPU_MAX.write_text(text)

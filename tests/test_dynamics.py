@@ -68,7 +68,8 @@ def test_series_too_short():
 
 def test_definedness_rules():
     one = series_from_values(np.array([1.0]), [1], 2.0)
-    assert one.deltas.size == 0 and one.velocity is None and one.acceleration is None
+    assert instantaneous_deltas(one.prefix_values).size == 0
+    assert one.velocity is None and one.acceleration is None
     two = series_from_values(np.array([1.0, 2.0]), [1, 2], 3.0)
     assert two.velocity is not None and two.acceleration is None
     three = series_from_values(np.array([1.0, 2.0, 4.0]), [1, 2, 3], 5.0)
@@ -97,7 +98,7 @@ def test_constant_metric_trajectory():
     data = np.tile(np.array([[1.0, 2.0, 3.0]]), (12, 1))
     series = prefix_metric_series(HiddenStateMatrix(data), stride=2)
     np.testing.assert_allclose(series.prefix_values, 1.0)
-    np.testing.assert_allclose(series.deltas, 0.0, atol=1e-12)
+    np.testing.assert_allclose(instantaneous_deltas(series.prefix_values), 0.0, atol=1e-12)
     assert series.velocity == pytest.approx(0.0, abs=1e-12)
     assert series.acceleration == pytest.approx(0.0, abs=1e-12)
 

@@ -10,9 +10,7 @@ from rankdyn import (
     MatrixKind,
     OrthogonalRows,
     generate_synthetic,
-    mean_pool_response,
     read_matrix,
-    stack_dataset,
     write_matrix,
 )
 from rankdyn.errors import (
@@ -134,47 +132,6 @@ def test_matrix_invariants():
         HiddenStateMatrix(np.ones((0, 3)))
     with pytest.raises(NonFiniteValue):
         HiddenStateMatrix(np.array([[1.0, np.inf]]))
-
-
-def test_mean_pool_trivial():
-    m = HiddenStateMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(mean_pool_response(m), [2.0, 3.0])
-    single = HiddenStateMatrix(np.array([[5.0, 6.0, 7.0]]))
-    np.testing.assert_array_equal(mean_pool_response(single), [5.0, 6.0, 7.0])
-
-
-def test_mean_pool_against_double_loop_oracle():
-    rng = np.random.default_rng(42)
-    data = rng.standard_normal((100, 8))
-    pooled = mean_pool_response(HiddenStateMatrix(data))
-    # independent element-wise summation oracle
-    for j in range(8):
-        total = 0.0
-        for i in range(100):
-            total += data[i, j]
-        assert abs(pooled[j] - total / 100) < 1e-12
-
-
-def test_stack_dataset():
-    rng = np.random.default_rng(7)
-    responses = [HiddenStateMatrix(rng.standard_normal((t, 5))) for t in (3, 8, 1)]
-    stacked = stack_dataset(responses)
-    assert stacked.kind is MatrixKind.DATASET
-    assert stacked.data.shape == (3, 5)
-    for i, r in enumerate(responses):
-        np.testing.assert_array_equal(stacked.data[i], mean_pool_response(r))
-    # identical responses give identical rows
-    twice = stack_dataset([responses[0], responses[0]])
-    np.testing.assert_array_equal(twice.data[0], twice.data[1])
-
-
-def test_stack_dataset_dimension_mismatch():
-    a = HiddenStateMatrix(np.ones((2, 3)))
-    b = HiddenStateMatrix(np.ones((2, 4)))
-    with pytest.raises(DimensionMismatch):
-        stack_dataset([a, b])
-    with pytest.raises(DimensionMismatch):
-        stack_dataset([])
 
 
 def test_orthogonal_rows_generator():
