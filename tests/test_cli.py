@@ -445,6 +445,21 @@ def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
     assert report["workers"] == 1
 
 
+@pytest.mark.parametrize(
+    "files",
+    [{"cpu.cfs_quota_us": "100000\n"},
+     {"cpu.cfs_quota_us": "max\n", "cpu.cfs_period_us": "100000\n"},
+     {"cpu.max": "", "cpu.cfs_quota_us": "100000\n", "cpu.cfs_period_us": "100000\n"}],
+    ids=["v1-without-period", "v1-not-a-number", "v2-empty-overrides-v1"],
+)
+def test_usable_cpus_ignores_unreadable_quota(tmp_path, monkeypatch, files):
+    monkeypatch.setattr(cli, "CPU_MAX", tmp_path / "cpu.max")
+    monkeypatch.setattr(cli, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
+    monkeypatch.setattr(cli, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert usable_cpus() == len(os.sched_getaffinity(0))
+
 def test_shape_bytes_do_not_depend_on_worker_count(tmp_path):
     paths = write_mixed_batch(tmp_path)
     manifest = tmp_path / "m.txt"

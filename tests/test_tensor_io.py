@@ -163,3 +163,29 @@ def test_infeasible_specs():
         generate_synthetic(OrthogonalRows(9, 8), seed=0)
     with pytest.raises(InfeasibleSpec):
         generate_synthetic(LowRank(4, 3, 4), seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [OrthogonalRows(0, 8), OrthogonalRows(2, 8, row_norm=0.0), GaussianIID(0, 4),
+     GaussianIID(4, 4, sigma=0.0), LowRank(4, 3, 0), "mystery:x=1"],
+    ids=["no-rows", "zero-norm", "no-gaussian-rows", "zero-sigma", "rank-0", "unknown"],
+)
+def test_infeasible_spec_parameters(spec):
+    with pytest.raises(InfeasibleSpec):
+        generate_synthetic(spec, seed=0)
+
+
+def test_gaussian_sigma_scales_the_draw():
+    unit = generate_synthetic(GaussianIID(10, 4), seed=5)  # sigma defaults to 1
+    np.testing.assert_array_equal(generate_synthetic(GaussianIID(10, 4, 2.0), seed=5).data,
+                                  2.0 * unit.data)
+
+
+def test_generated_file_bytes_depend_only_on_seed(tmp_path):
+    paths = [tmp_path / f"{name}.hsmx" for name in ("a", "b", "c")]
+    for path, seed in zip(paths, (1, 1, 2)):
+        write_matrix(generate_synthetic(OrthogonalRows(16, 64), seed=seed), path)
+    a, b, c = (path.read_bytes() for path in paths)
+    assert a == b and a != c
+    assert read_matrix(paths[0]).data.shape == (16, 64)
