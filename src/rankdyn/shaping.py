@@ -20,7 +20,7 @@ correctness/format reward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .errors import GroupTooSmall
 METRICS = ("er", "erv", "era")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmaState:
     """Per-metric exponential moving averages with warm-up tracking.
 
-    By default the first observation seeds the baseline (so the first
+    An immutable value: ema_update and shape_from_metrics return the next
+    state. By default the first observation seeds the baseline (so the first
     deviation is exactly 0). With literal_zero_init the baselines start at 0
     and every observation applies the gamma blend, which makes the very
     first deviation m/eps -- kept behind a flag for fidelity studies.
@@ -48,31 +49,28 @@ class EmaState:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
 
-    def warmed(self, metric: str) -> bool:
-        return self.observations[metric] > 0
+    def seeds(self, metric: str) -> bool:
+        """Whether the next observation of metric becomes its baseline as is."""
+        return self.observations[metric] == 0 and not self.literal_zero_init
 
-    def copy(self) -> "EmaState":
-        return EmaState(
-            gamma=self.gamma,
-            literal_zero_init=self.literal_zero_init,
-            means=dict(self.means),
-            observations=dict(self.observations),
-        )
+    def baseline(self, metric: str, m: float) -> float:
+        """The baseline an observation m is measured against."""
+        return m if self.seeds(metric) else self.means[metric]
 
 
 def ema_update(state: EmaState, metric: str, m: float) -> EmaState:
-    """Blend one observation into the baseline of the given metric."""
+    """The state with one observation blended into the given metric's baseline."""
     if metric not in METRICS:
         raise KeyError(f"unknown metric {metric!r}")
     if not math.isfinite(m):
         raise ValueError("EMA observation must be finite")
-    new = state.copy()
-    if new.observations[metric] == 0 and not new.literal_zero_init:
-        new.means[metric] = m
-    else:
-        new.means[metric] = new.gamma * new.means[metric] + (1.0 - new.gamma) * m
-    new.observations[metric] += 1
-    return new
+    g = state.gamma
+    mean = m if state.seeds(metric) else g * state.means[metric] + (1.0 - g) * m
+    return replace(
+        state,
+        means={**state.means, metric: mean},
+        observations={**state.observations, metric: state.observations[metric] + 1},
+    )
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,10 @@ def relative_deviation(m: float, mu: float, epsilon: float) -> float:
 
 def dynamic_weights(d2: float) -> tuple[float, float, float]:
     """(beta, exploration coeff, exploitation coeff) from the d2 signal."""
-    beta = 1.0 / (1.0 + math.exp(-d2))
+    try:
+        beta = 1.0 / (1.0 + math.exp(-d2))
+    except OverflowError:  # exp(-d2) past the float range: beta rounds to 0
+        beta = 0.0
     return beta, beta, 1.0 - beta
 
 
@@ -172,32 +173,18 @@ def shape_from_metrics(
     trajectory), shaping is skipped entirely and a_hat = a0.
     """
     eps = config.epsilon
-    observed = {"er": m_er, "erv": m_erv, "era": m_era}
-    pre_means = {
-        k: (state.means[k] if state.warmed(k) or state.literal_zero_init else observed[k])
-        for k in METRICS
-        if observed[k] is not None
-    }
-    for k in METRICS:
-        if observed[k] is not None:
-            state = ema_update(state, k, observed[k])
-    if config.pre_update_deviation:
-        baseline = pre_means
-    else:
-        baseline = {k: state.means[k] for k in pre_means}
+    before = state
+    for k, m in zip(METRICS, (m_er, m_erv, m_era)):
+        if m is not None:
+            state = ema_update(state, k, m)
+    basis = before if config.pre_update_deviation else state
 
-    d0 = relative_deviation(m_er, baseline["er"], eps)
+    d0 = relative_deviation(m_er, basis.baseline("er", m_er), eps)
     if m_erv is None or m_era is None:
-        return (
-            ShapingOutcome(d0, None, None, None, None, a0, a0),
-            state,
-        )
-    d1 = relative_deviation(m_erv, baseline["erv"], eps)
-    d2 = relative_deviation(m_era, baseline["era"], eps)
+        return ShapingOutcome(d0, None, None, None, None, a0, a0), state
+    d1 = relative_deviation(m_erv, basis.baseline("erv", m_erv), eps)
+    d2 = relative_deviation(m_era, basis.baseline("era", m_era), eps)
     beta, w_explore, w_exploit = dynamic_weights(d2)
     phi = auxiliary_advantage(d0, d1, (w_explore, w_exploit))
     a_hat = shape_advantage(a0, phi, config.kappa)
-    return (
-        ShapingOutcome(d0, d1, d2, beta, phi, a0, a_hat),
-        state,
-    )
+    return ShapingOutcome(d0, d1, d2, beta, phi, a0, a_hat), state

@@ -102,6 +102,9 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         raise UnsupportedVersion(f"unknown kind flag {kind_flag}", offset=9)
     if reserved != 0:
         raise FormatError(f"reserved field is {reserved}, expected 0", offset=10)
+    if rows == 0 or cols == 0:
+        offset = 12 if rows == 0 else 20
+        raise FormatError(f"header declares a {rows}x{cols} matrix", offset=offset)
     itemsize = 8 if dtype_flag == 0 else 4
     expected = rows * cols * itemsize
     got = len(raw) - HEADER_SIZE

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -58,6 +58,15 @@ def test_ema_literal_zero_init():
     assert state.means["er"] == pytest.approx(0.2, rel=1e-12)
 
 
+def test_ema_state_is_immutable():
+    state = EmaState()
+    with pytest.raises(FrozenInstanceError):
+        state.gamma = 0.5
+    updated = ema_update(state, "er", 2.0)
+    assert state.means["er"] == 0.0 and state.observations["er"] == 0
+    assert updated.means["er"] == 2.0 and updated.observations["er"] == 1
+
+
 def test_dynamic_weights():
     beta, w0, w1 = dynamic_weights(0.0)
     assert (beta, w0, w1) == (0.5, 0.5, 0.5)
@@ -66,6 +75,9 @@ def test_dynamic_weights():
     assert w0 + w1 == 1.0
     assert dynamic_weights(50.0)[1] == pytest.approx(1.0, abs=1e-12)
     assert dynamic_weights(-50.0)[2] == pytest.approx(1.0, abs=1e-12)
+    # past the range of exp(-d2), beta saturates instead of overflowing
+    assert dynamic_weights(-880.2) == (0.0, 0.0, 1.0)
+    assert dynamic_weights(880.2) == (1.0, 1.0, 0.0)
 
 
 def test_auxiliary_advantage():
@@ -176,3 +188,44 @@ def test_ema_sequence_determinism():
         return trace
 
     assert run() == run()
+
+
+EPS = ShapingConfig().epsilon
+
+
+@pytest.mark.parametrize(
+    "pre_update, expected_d",
+    [
+        # against the updated baselines: 0.1 * (10, 1, 0.5), then
+        # 0.9 * (1, 0.1, 0.05) + 0.1 * (12, 1.4, 0.7) = (2.1, 0.23, 0.115)
+        (False, [(9 / (1 + EPS), 0.9 / (0.1 + EPS), 0.45 / (0.05 + EPS)),
+                 (9.9 / (2.1 + EPS), 1.17 / (0.23 + EPS), 0.585 / (0.115 + EPS))]),
+        # against the baselines before each update: 0, then (1, 0.1, 0.05)
+        (True, [(10 / EPS, 1 / EPS, 0.5 / EPS),
+                (11 / (1 + EPS), 1.3 / (0.1 + EPS), 0.65 / (0.05 + EPS))]),
+    ],
+    ids=["post-update", "pre-update"],
+)
+def test_literal_zero_init_two_rollout_trace(pre_update, expected_d):
+    config = ShapingConfig(kappa=2.0, pre_update_deviation=pre_update)
+    state = EmaState(gamma=0.9, literal_zero_init=True)
+    rollouts = [((10.0, 1.0, 0.5), 0.8, 1.2), ((12.0, 1.4, 0.7), -0.4, -0.2)]
+    for (metrics, a0, a_hat), (d0, d1, d2) in zip(rollouts, expected_d):
+        out, state = shape_from_metrics(*metrics, a0, state, config)
+        assert (out.d0, out.d1, out.d2) == pytest.approx((d0, d1, d2), rel=1e-9)
+        beta = 1.0 / (1.0 + math.exp(-d2))
+        assert out.beta == pytest.approx(beta, rel=1e-12)
+        phi = beta * math.tanh(d0) + (1.0 - beta) * math.tanh(d1)
+        assert out.phi == pytest.approx(phi, rel=1e-12)
+        assert out.a_hat == pytest.approx(a_hat, abs=1e-12)  # bonus clipped at |a0| / 2
+    assert state.means == pytest.approx({"er": 2.1, "erv": 0.23, "era": 0.115}, abs=1e-12)
+
+
+def test_era_baseline_near_zero_saturates_beta():
+    # The second ERA cancels the blended baseline to ~0, so
+    # d2 ~ -9e-6 / eps = -900, past the range of exp(-d2).
+    config = ShapingConfig()
+    _, state = shape_from_metrics(10.0, 1.0, 1e-6, 0.5, EmaState(), config)
+    out, state = shape_from_metrics(10.0, 1.0, -9e-6, 0.5, state, config)
+    assert out.d2 == pytest.approx(-900.0, rel=1e-6)
+    assert (out.beta, out.phi, out.a_hat) == (0.0, 0.0, 0.5)

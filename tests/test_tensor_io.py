@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,21 @@ def test_nonzero_reserved_field_rejected(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_matrix(path)
     assert exc.value.offset == 10
+
+
+@pytest.mark.parametrize(
+    "rows, cols, offset", [(0, 8, 12), (8, 0, 20), (0, 0, 12)], ids=["rows-0", "cols-0", "0x0"]
+)
+def test_empty_matrix_header_rejected(tmp_path, rows, cols, offset):
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(np.ones((8, 8))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<QQ", raw, 12, rows, cols)  # the payload is left as it was
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as exc:
+        read_matrix(path)
+    assert type(exc.value) is FormatError
+    assert exc.value.offset == offset
 
 
 def test_non_finite_payload(tmp_path):
