@@ -143,10 +143,16 @@ def metric_phase(
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Fail before the metric phase, writing nothing, if an output's directory is missing."""
-    for path in filter(None, (args.out, args.stats)):
+    """Fail before the metric phase, writing nothing, if an output's directory is
+    missing, an output is a directory, or --out and --stats are one file."""
+    paths = list(filter(None, (args.out, args.stats)))
+    for path in paths:
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"{path}: no such directory {Path(path).parent}")
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path}: is a directory")
+    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise ValueError(f"--out {paths[0]} and --stats {paths[1]} are the same file")
 
 
 def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], report: dict,

@@ -33,10 +33,6 @@ class DimensionMismatch(RankdynError):
     pass
 
 
-class InfeasibleSpec(RankdynError):
-    pass
-
-
 class DegenerateMatrix(RankdynError):
     pass
 

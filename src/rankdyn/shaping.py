@@ -82,10 +82,9 @@ class ShapingConfig:
     pre_update_deviation: bool = False
 
     def __post_init__(self):
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be positive and finite")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        for name, value in (("kappa", self.kappa), ("epsilon", self.epsilon)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hidden-state matrix data model, HSMX file format, and synthetic generators.
+"""Hidden-state matrix data model and the HSMX file format.
 
 The HSMX trajectory format (little-endian, no padding, no footer)::
 
@@ -27,7 +27,6 @@ from .errors import (
     BadMagic,
     DimensionMismatch,
     FormatError,
-    InfeasibleSpec,
     NonFiniteValue,
     TruncatedPayload,
     UnsupportedVersion,
@@ -127,59 +126,3 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         )
     data = flat.astype(np.float64).reshape(rows, cols)
     return HiddenStateMatrix(data, MatrixKind(kind_flag))
-
-
-# --- synthetic generators -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrthogonalRows:
-    """k mutually orthogonal rows in R^D, each with squared norm row_norm."""
-
-    k: int
-    dims: int
-    row_norm: float = 1.0
-
-
-@dataclass(frozen=True)
-class GaussianIID:
-    rows: int
-    dims: int
-    sigma: float = 1.0
-
-
-@dataclass(frozen=True)
-class LowRank:
-    rows: int
-    dims: int
-    rank: int
-
-
-GeneratorSpec = OrthogonalRows | GaussianIID | LowRank
-
-
-def generate_synthetic(spec: GeneratorSpec, seed: int) -> HiddenStateMatrix:
-    """Deterministically generate a test matrix from (spec, seed)."""
-    rng = np.random.default_rng(seed)
-    if isinstance(spec, OrthogonalRows):
-        if spec.k > spec.dims:
-            raise InfeasibleSpec(f"cannot fit {spec.k} orthogonal rows in R^{spec.dims}")
-        if spec.k < 1 or spec.row_norm <= 0:
-            raise InfeasibleSpec("OrthogonalRows needs k >= 1 and row_norm > 0")
-        base = rng.standard_normal((spec.dims, spec.k))
-        q, _ = np.linalg.qr(base)  # orthonormal columns
-        data = q.T * np.sqrt(spec.row_norm)
-        return HiddenStateMatrix(data)
-    if isinstance(spec, GaussianIID):
-        if spec.rows < 1 or spec.dims < 1 or spec.sigma <= 0:
-            raise InfeasibleSpec("GaussianIID needs rows, dims >= 1 and sigma > 0")
-        return HiddenStateMatrix(rng.standard_normal((spec.rows, spec.dims)) * spec.sigma)
-    if isinstance(spec, LowRank):
-        if spec.rank < 1 or spec.rank > min(spec.rows, spec.dims):
-            raise InfeasibleSpec(
-                f"rank {spec.rank} infeasible for a {spec.rows}x{spec.dims} matrix"
-            )
-        left = rng.standard_normal((spec.rows, spec.rank))
-        right = rng.standard_normal((spec.rank, spec.dims))
-        return HiddenStateMatrix(left @ right)
-    raise InfeasibleSpec(f"unknown generator spec {spec!r}")

@@ -15,17 +15,15 @@ import pytest
 from rankdyn import (
     EmaState,
     Engine,
-    GaussianIID,
     ShapingConfig,
     auxiliary_advantage,
     dynamic_weights,
-    generate_synthetic,
     grpo_group_advantage,
     prefix_metric_series,
     rule_reward,
     shape_from_metrics,
 )
-from rankdyn.verify import SUITES, prefix_svd_oracle
+from rankdyn.verify import SUITES, hard_fixture, prefix_svd_oracle
 from test_cli import run_cli  # the CLI in a child process, with a timeout
 
 
@@ -91,7 +89,7 @@ def test_05_construction_complexity():
     start = time.perf_counter()
     sizes = [512, 1024, 2048]
     stride = 32
-    matrices = [generate_synthetic(GaussianIID(t, 256), seed=0) for t in sizes]
+    matrices = [hard_fixture("gaussian", t, 256, 0) for t in sizes]
     runs = [
         lambda m=m: prefix_metric_series(m, stride, engine=Engine.INCREMENTAL_GRAM)
         for m in matrices
@@ -190,7 +188,7 @@ def test_10_shape_determinism(tmp_path):
     lines = []
     for i in range(8):
         path = tmp_path / f"t{i}.hsmx"
-        write_matrix(generate_synthetic(GaussianIID(120, 12), seed=i), path)
+        write_matrix(hard_fixture("gaussian", 120, 12, i), path)
         lines.append(f"{path},g{i // 4},{i % 2},{(i // 2) % 2}")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("\n".join(lines))

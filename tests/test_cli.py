@@ -14,10 +14,8 @@ import pytest
 
 from rankdyn import (
     EmaState,
-    GaussianIID,
     HiddenStateMatrix,
     ShapingConfig,
-    generate_synthetic,
     read_matrix,
     shape_from_metrics,
     trajectory_metrics,
@@ -37,7 +35,7 @@ SRC = ROOT / "src"
 
 
 def write_trajectory(path, rows, cols, seed):
-    write_matrix(generate_synthetic(GaussianIID(rows, cols), seed), path)
+    write_matrix(verify.hard_fixture("gaussian", rows, cols, seed), path)
 
 
 def run_cli(*args, one_cpu=False, program=("-m", "rankdyn.cli")):
@@ -124,16 +122,26 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-    # An output in a missing directory fails before the metric phase runs.
+    # An output in a missing directory, an output that is a directory, --out
+    # and --stats naming one file, and a non-finite --eps all fail before the
+    # metric phase runs.
     monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
-    for argv in [
-        ["shape", "--manifest", str(manifest), "--out", str(missing)],
-        metrics + ["--out", str(missing)],
-        metrics + ["--out", str(tmp_path / "m.csv"), "--stats", str(missing)],
+    folder = tmp_path / "d"
+    folder.mkdir()
+    out = ["--out", str(tmp_path / "m.csv")]
+    for argv, message in [
+        (["shape", "--manifest", str(manifest), "--out", str(missing)], str(missing)),
+        (metrics + ["--out", str(missing)], str(missing)),
+        (metrics + out + ["--stats", str(missing)], str(missing)),
+        (metrics + out + ["--stats", str(folder / ".." / "m.csv")], "are the same file"),
+        (metrics + ["--out", str(folder)], f"{folder}: is a directory"),
+        (metrics + out + ["--stats", str(folder)], f"{folder}: is a directory"),
+        (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv"), "--eps", "nan"],
+         "epsilon must be positive and finite"),
     ]:
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err
+        assert err.startswith("error: ") and message in err
     assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.csv").exists()
     # Run as a program: the same exit code, and no traceback.
     proc = run_cli("shape", "--manifest", manifest, "--out", tmp_path / "s.csv")
@@ -317,7 +325,7 @@ def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
     # its bonus (phi 0.072) passes the clip |a0| / kappa = 0.01.
     manifest = tmp_path / "m.txt"
     for i, rows in enumerate([120, 30, 200, 90]):
-        matrix = generate_synthetic(GaussianIID(rows, 16), seed=i)
+        matrix = verify.hard_fixture("gaussian", rows, 16, i)
         write_matrix(matrix, tmp_path / f"t{i}.hsmx", dtype="f32")
         with manifest.open("a") as fh:
             fh.write(f"{tmp_path / f't{i}.hsmx'},g,{i % 2},1\n")

@@ -137,6 +137,13 @@ def test_shaping_config_holds_only_shaping_settings():
         ShapingConfig(stride=8)
 
 
+@pytest.mark.parametrize("field", ["kappa", "epsilon"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+def test_shaping_config_rejects_nonpositive_or_nonfinite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        ShapingConfig(**{field: value})
+
+
 def test_first_trajectory_is_neutral():
     config = ShapingConfig()
     outcome, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, EmaState(), config)
@@ -159,12 +166,13 @@ def test_short_trajectory_skips_shaping():
 
 
 def test_shape_trajectory_end_to_end():
-    from rankdyn import GaussianIID, generate_synthetic, trajectory_metrics
+    from rankdyn import trajectory_metrics
+    from rankdyn.verify import hard_fixture
 
     config = ShapingConfig()
     state = EmaState()
     for seed, a0 in [(0, 0.5), (1, -0.5)]:
-        matrix = generate_synthetic(GaussianIID(96, 8), seed)
+        matrix = hard_fixture("gaussian", 96, 8, seed)
         final_er, series = trajectory_metrics(matrix, 8)
         outcome, state = shape_from_metrics(
             final_er, series.velocity, series.acceleration, a0, state, config

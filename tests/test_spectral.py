@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from rankdyn import (
     Centering,
     HiddenStateMatrix,
-    OrthogonalRows,
     effective_rank,
-    generate_synthetic,
     spectral_summary,
 )
 from rankdyn.errors import DegenerateMatrix, TooFewRows
+from rankdyn.verify import orthogonal_rows
 
 
 def oracle_summary(data: np.ndarray):
@@ -43,7 +42,7 @@ def test_rank_one_outer_product():
 
 
 def test_orthogonal_rows_erank_equals_k():
-    m = generate_synthetic(OrthogonalRows(16, 64, row_norm=1.0 / 16), seed=5)
+    m = HiddenStateMatrix(orthogonal_rows(16, 64, 5).data * 0.25)  # squared row norms 1/16
     er = effective_rank(m)
     assert abs(er - 16.0) <= 1e-6 * 16.0
 
@@ -126,5 +125,5 @@ def test_row_permutation_invariance(seed):
 
 def test_uniform_spectrum_saturation():
     for k in (2, 5, 9):
-        m = generate_synthetic(OrthogonalRows(k, 12), seed=k)
+        m = orthogonal_rows(k, 12, k)
         assert effective_rank(m) == pytest.approx(k, rel=1e-9)

@@ -5,26 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankdyn import (
-    GaussianIID,
-    HiddenStateMatrix,
-    LowRank,
-    MatrixKind,
-    OrthogonalRows,
-    generate_synthetic,
-    read_matrix,
-    write_matrix,
-)
+from rankdyn import HiddenStateMatrix, MatrixKind, read_matrix, write_matrix
 from rankdyn.errors import (
     BadMagic,
     DimensionMismatch,
     FormatError,
-    InfeasibleSpec,
     NonFiniteValue,
     TruncatedPayload,
     UnsupportedVersion,
 )
 from rankdyn.tensor_io import HEADER_SIZE
+from rankdyn.verify import FIXTURES, hard_fixture, orthogonal_rows
 
 
 def test_round_trip_identity(tmp_path):
@@ -152,57 +143,21 @@ def test_matrix_invariants():
 
 
 def test_orthogonal_rows_generator():
-    m = generate_synthetic(OrthogonalRows(4, 8, row_norm=1.0), seed=3)
-    gram = m.data @ m.data.T
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
-    scaled = generate_synthetic(OrthogonalRows(4, 8, row_norm=0.25), seed=3)
-    np.testing.assert_allclose(
-        (scaled.data**2).sum(axis=1), np.full(4, 0.25), atol=1e-12
-    )
-
-
-def test_low_rank_generator_rank():
-    m = generate_synthetic(LowRank(10, 6, 2), seed=11)
-    # SVD oracle: count singular values above a relative threshold
-    sigma = np.linalg.svd(m.data, compute_uv=False)
-    assert int((sigma > 1e-10 * sigma[0]).sum()) == 2
+    m = orthogonal_rows(4, 8, seed=3)
+    np.testing.assert_allclose(m.data @ m.data.T, np.eye(4), atol=1e-12)
 
 
 def test_generators_deterministic():
-    for spec in (OrthogonalRows(4, 8), GaussianIID(6, 3), LowRank(5, 5, 2)):
-        a = generate_synthetic(spec, seed=99)
-        b = generate_synthetic(spec, seed=99)
+    draws = [(orthogonal_rows(4, 8, 99), orthogonal_rows(4, 8, 99))]
+    draws += [(hard_fixture(f, 6, 3, 99), hard_fixture(f, 6, 3, 99)) for f in FIXTURES]
+    for a, b in draws:
         assert a.data.tobytes() == b.data.tobytes()
-
-
-def test_infeasible_specs():
-    with pytest.raises(InfeasibleSpec):
-        generate_synthetic(OrthogonalRows(9, 8), seed=0)
-    with pytest.raises(InfeasibleSpec):
-        generate_synthetic(LowRank(4, 3, 4), seed=0)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [OrthogonalRows(0, 8), OrthogonalRows(2, 8, row_norm=0.0), GaussianIID(0, 4),
-     GaussianIID(4, 4, sigma=0.0), LowRank(4, 3, 0), "mystery:x=1"],
-    ids=["no-rows", "zero-norm", "no-gaussian-rows", "zero-sigma", "rank-0", "unknown"],
-)
-def test_infeasible_spec_parameters(spec):
-    with pytest.raises(InfeasibleSpec):
-        generate_synthetic(spec, seed=0)
-
-
-def test_gaussian_sigma_scales_the_draw():
-    unit = generate_synthetic(GaussianIID(10, 4), seed=5)  # sigma defaults to 1
-    np.testing.assert_array_equal(generate_synthetic(GaussianIID(10, 4, 2.0), seed=5).data,
-                                  2.0 * unit.data)
 
 
 def test_generated_file_bytes_depend_only_on_seed(tmp_path):
     paths = [tmp_path / f"{name}.hsmx" for name in ("a", "b", "c")]
     for path, seed in zip(paths, (1, 1, 2)):
-        write_matrix(generate_synthetic(OrthogonalRows(16, 64), seed=seed), path)
+        write_matrix(orthogonal_rows(16, 64, seed), path)
     a, b, c = (path.read_bytes() for path in paths)
     assert a == b and a != c
     assert read_matrix(paths[0]).data.shape == (16, 64)
