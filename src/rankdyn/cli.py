@@ -18,12 +18,15 @@ point `run` forks workers for the metric phase; `main` runs it in-process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
 import glob as globlib
 import math
 import os
+import pickle
+import select
 import signal
 import sys
 import time
@@ -89,7 +92,7 @@ def usable_cpus() -> int:
 
 
 def die_with_parent(parent: int) -> None:
-    """Pool initializer: the kernel SIGKILLs this worker when its parent dies,
+    """Worker set-up: the kernel SIGKILLs this worker when its parent dies,
     even by a SIGKILL that no handler sees; a parent gone before prctl ran is
     caught by getppid. Does nothing where libc has no prctl (off Linux)."""
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
@@ -100,41 +103,115 @@ def die_with_parent(parent: int) -> None:
             os._exit(1)
 
 
+INDEX_BYTES = 8  # one job index in the index pipe, written and read whole
+
+
+def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
+                 inherited: list[int]) -> None:
+    """Body of one forked worker; never returns. The index pipe holds the next
+    job index, which one worker at a time takes and puts back plus one; a job
+    that raises puts back len(items) instead, so only the jobs already in
+    flight still run. The (index, ok, result or exception) of its jobs go to
+    the parent, pickled, on out_w. inherited are fds of the parent it closes."""
+    code, done = 1, []
+    index_r, index_w, out_w = pipes
+    try:
+        die_with_parent(parent)
+        for fd in inherited:
+            os.close(fd)
+        while (index := int.from_bytes(os.read(index_r, INDEX_BYTES), "little")) < len(items):
+            os.write(index_w, (index + 1).to_bytes(INDEX_BYTES, "little"))
+            try:
+                done.append((index, True, job(items[index])))
+            except Exception as exc:
+                done.append((index, False, exc))
+                os.read(index_r, INDEX_BYTES)
+                break
+        os.write(index_w, len(items).to_bytes(INDEX_BYTES, "little"))
+        with os.fdopen(out_w, "wb") as out:
+            pickle.dump(done, out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(job, items: list, workers: int) -> list:
+    """[job(item) for item in items] on `workers` bare forked workers, which die
+    with this process (die_with_parent). Jobs start in input order, and the
+    first exception in input order is raised once the jobs in flight are done.
+    A worker that dies raises BrokenProcessPool. Every worker is reaped on
+    every way out."""
+    parent, (index_r, index_w) = os.getpid(), os.pipe()
+    os.write(index_w, (0).to_bytes(INDEX_BYTES, "little"))
+    pids: dict[int, int] = {}  # result pipe -> worker pid, until reaped
+    chunks: dict[int, list[bytes]] = {}
+    results: dict[int, tuple] = {}
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _fork_worker(job, items, parent, (index_r, index_w, out_w), [out_r, *pids])
+            os.close(out_w)
+            pids[out_r], chunks[out_r] = pid, []
+        while pids:
+            for fd in select.select(list(pids), [], [])[0]:
+                if chunk := os.read(fd, 1 << 16):
+                    chunks[fd].append(chunk)
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
+                os.close(fd)
+                if code:
+                    from concurrent.futures.process import BrokenProcessPool
+
+                    raise BrokenProcessPool(f"a metric worker died with exit code {code}")
+                for index, ok, value in pickle.loads(b"".join(chunks[fd])):
+                    results[index] = ok, value
+    finally:
+        for fd, pid in pids.items():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        os.close(index_r)
+        os.close(index_w)
+    for index in sorted(results):
+        if not results[index][0]:
+            raise results[index][1]
+    return [results[index][1] for index in range(len(items))]
+
+
 def metric_phase(
     paths: list[str], stride: int, centering: Centering, engine: Engine, fork: bool
 ) -> tuple[list[tuple], dict]:
     """trajectory_job over every path, in input order, plus its run report.
 
-    With fork, one worker per usable CPU and trajectory at most, forked (a
-    spawned one would import numpy anew); a worker that dies raises
-    BrokenProcessPool, and the workers of a killed parent die with it
-    (die_with_parent). BLAS runs on one thread on every path, so no float
-    depends on the worker count; with no known BLAS to pin, all runs in-process.
+    With fork, one worker per usable CPU and trajectory at most (fork_map; a
+    spawned one would import numpy anew). Either way the phase stops at the
+    first job that raises and raises its exception. BLAS runs on one thread on
+    every path, so no float depends on the worker count; with no known BLAS to
+    pin, all runs in-process.
     """
-    from .lapack import qr_kernels, single_threaded_blas
+    from .lapack import eig_kernel, qr_kernels, single_threaded_blas
 
     start = time.perf_counter()
     job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
     with single_threaded_blas() as pinned:
         # Resolved before any fork, so the workers inherit the bound kernels.
         qr = ("lapack" if qr_kernels() else "numpy") if engine is Engine.FACTOR else None
+        eig = ("lapack" if eig_kernel() else "numpy") if engine is Engine.INCREMENTAL_GRAM else None
         workers = min(usable_cpus(), len(paths)) if pinned and fork else 1
         if workers == 1:
             results = [job(path) for path in paths]
         else:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                                     initializer=die_with_parent,
-                                     initargs=(os.getpid(),)) as pool:
-                results = list(pool.map(job, paths))
+            results = fork_map(job, paths, workers)
     errors = [values[0] for values, _, _ in results if len(values) == 2]
     report = {
         "engine": engine.value,
         "workers": workers,
         "blas_pinned": pinned,
         "qr": qr,
+        "eig": eig,
         "metric_phase_s": time.perf_counter() - start,
         "stage_s": {"read": sum(r[1] for r in results), "metrics": sum(r[2] for r in results)},
         "errors": {name: errors.count(name) for name in sorted(set(errors))},

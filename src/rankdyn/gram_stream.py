@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMatrix, DimensionMismatch
+from .lapack import eigvalsh
 from .spectral import Centering, shifted, summary_from_singular_values
 
 # Gram eigenvalues below this fraction of the trace are clamped to zero
@@ -54,10 +55,13 @@ class GramStreamState:
 
 
 def erank_from_gram(gram: np.ndarray) -> float:
-    """Effective rank from a symmetric PSD Gram matrix."""
-    gram = np.asarray(gram, dtype=np.float64)
-    eigvals = np.linalg.eigvalsh(gram)
+    """Effective rank from a symmetric PSD Gram matrix, read from its lower
+    triangle, as np.linalg.eigvalsh reads it. An F-contiguous, writeable
+    float64 gram is solved in place, and its lower triangle is overwritten;
+    any other gram is copied first."""
+    gram = np.require(gram, np.float64, ["F", "W"])
     clamp = EIGENVALUE_CLAMP * max(float(np.trace(gram)), 0.0)
+    eigvals = eigvalsh(gram)
     eigvals = np.where(eigvals > clamp, eigvals, 0.0)
     if not np.any(eigvals > 0.0):
         raise DegenerateMatrix("Gram matrix has no eigenvalue above the clamp")
@@ -68,25 +72,38 @@ def gram_prefix_eranks(
     data: np.ndarray, steps: list[int], centering: Centering
 ) -> np.ndarray:
     """Effective rank of each prefix data[:t], t in the increasing steps and
-    then t = T."""
+    then t = T. Every prefix's Gram matrix is built and centered in place in
+    one F-ordered buffer, which erank_from_gram then solves in place."""
     data = shifted(data, steps, centering)
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
     ends = [*steps, rows]
     head = data[: max((t for t in ends if t <= dims), default=0)]
     head_gram = head @ head.T
+    # The C-ordered transpose of an F-ordered block is filled row by row, about
+    # 4x faster than a transposing copy; it holds the block itself only while
+    # head_gram is exactly symmetric, as numpy's syrk path for A @ A.T makes it.
+    symmetric = np.array_equal(head_gram, head_gram.T)
+    buffer = np.empty(min(rows, dims) ** 2)
     state = GramStreamState(dims)
     eranks = []
     for t in ends:
+        n = min(t, dims)
+        gram = buffer[: n * n].reshape(n, n, order="F")
         if t <= dims:
-            gram = head_gram[:t, :t]
+            block = head_gram[:t, :t]
+            np.copyto(gram.T if symmetric else gram, block)
             if centered:
-                r = gram.mean(axis=1)
-                gram = gram - r[:, None] - r[None, :] + r.mean()
+                r = block.mean(axis=1)  # summed in the C order of the block
+                gram -= r[:, None]
+                gram -= r[None, :]
+                gram += r.mean()
         else:
             state.extend(data[state.t : t])
-            gram = state.scatter
+            np.copyto(gram, state.scatter)
             if centered:
-                gram = gram - np.outer(state.row_sum, state.row_sum) / t
+                outer = np.outer(state.row_sum, state.row_sum)
+                outer /= t
+                gram -= outer
         eranks.append(erank_from_gram(gram))
     return np.array(eranks)

@@ -1,9 +1,10 @@
 """The OpenBLAS that numpy loaded, reached through ctypes on first use, never at
-import: its thread count, and the LAPACK QR kernels dgeqrt (recursive, BLAS-3
+import: its thread count, the LAPACK QR kernels dgeqrt (recursive, BLAS-3
 panels; Elmroth & Gustavson, IBM J. R&D 2000) and dtpqrt (the triangle-plus-rows
-QR of TSQR; Demmel et al., SISC 2012), which row_factor and fold_rows run, or
-np.linalg.qr where they are absent. Its symbols carry an optional `scipy_`
-prefix, and a `64_` suffix that means 64-bit integer arguments.
+QR of TSQR; Demmel et al., SISC 2012), which row_factor and fold_rows run, and
+the symmetric eigensolver dsyevd that eigvalsh runs; np.linalg.qr and
+np.linalg.eigvalsh where they are absent. Its symbols carry an optional
+`scipy_` prefix, and a `64_` suffix that means 64-bit integer arguments.
 """
 
 from __future__ import annotations
@@ -57,32 +58,62 @@ def single_threaded_blas():
 
 
 def _raise_on_info(info: int, kernel, args) -> int:
-    if info:
+    if info < 0:
         raise RuntimeError(f"{kernel.__name__} returned info={info}")
+    if info > 0:  # only dsyevd reports one: no convergence, as numpy words it
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return info
 
 
-@functools.cache
-def qr_kernels() -> tuple | None:
-    """LAPACKE_dgeqrt and LAPACKE_dtpqrt of the loaded OpenBLAS, or None. The
-    argument types hold each matrix to the memory order the kernel reads."""
+def _bind(names: tuple[str, ...], argtypes) -> tuple | None:
+    """LAPACKE_<name> of the loaded OpenBLAS for each name, typed by
+    argtypes(integer, c_order, f_order) and raising on a nonzero info; None
+    unless it has them all. The two orders are float64 array types that hold
+    each matrix to the memory order the kernel reads."""
     found = openblas()
     if found is None:
         return None
     lib, spelling = found
     try:
-        geqrt, tpqrt = (getattr(lib, spelling.format(f"LAPACKE_{name}"))
-                        for name in ("dgeqrt", "dtpqrt"))
+        kernels = tuple(getattr(lib, spelling.format(f"LAPACKE_{name}")) for name in names)
     except AttributeError:
         return None
     integer = ctypes.c_int64 if spelling.endswith("64_") else ctypes.c_int
-    c_order, f_order = (np.ctypeslib.ndpointer(np.float64, flags=f"{order},WRITEABLE")
-                        for order in "CF")
-    geqrt.argtypes = [ctypes.c_int, *[integer] * 3, c_order, integer, c_order, integer]
-    tpqrt.argtypes = [ctypes.c_int, *[integer] * 4, *[f_order, integer] * 2, c_order, integer]
-    for kernel in (geqrt, tpqrt):
-        kernel.restype, kernel.errcheck = integer, _raise_on_info
-    return geqrt, tpqrt
+    orders = (np.ctypeslib.ndpointer(np.float64, flags=f"{order},WRITEABLE") for order in "CF")
+    for kernel, types in zip(kernels, argtypes(integer, *orders)):
+        kernel.argtypes, kernel.restype, kernel.errcheck = types, integer, _raise_on_info
+    return kernels
+
+
+@functools.cache
+def qr_kernels() -> tuple | None:
+    """LAPACKE_dgeqrt and LAPACKE_dtpqrt, or None."""
+    return _bind(("dgeqrt", "dtpqrt"), lambda integer, c_order, f_order: (
+        [ctypes.c_int, *[integer] * 3, c_order, integer, c_order, integer],
+        [ctypes.c_int, *[integer] * 4, *[f_order, integer] * 2, c_order, integer],
+    ))
+
+
+@functools.cache
+def eig_kernel():
+    """LAPACKE_dsyevd, or None."""
+    found = _bind(("dsyevd",), lambda integer, c_order, f_order: (
+        [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer, f_order, integer, c_order],
+    ))
+    return found and found[0]
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix with the lower triangle of
+    a, the triangle np.linalg.eigvalsh reads, and with its bits. dsyevd solves
+    a in place, so a must be an F-contiguous, writeable float64 matrix, and its
+    lower triangle is overwritten; the numpy fallback leaves a as it is."""
+    if eig_kernel() is None:
+        return np.linalg.eigvalsh(a)
+    n = a.shape[0]
+    w = np.empty(n)
+    eig_kernel()(COL_MAJOR, b"N", b"L", n, a, max(n, 1), w)
+    return w
 
 
 def row_factor(rows: np.ndarray) -> np.ndarray:

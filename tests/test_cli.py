@@ -25,7 +25,7 @@ from rankdyn import cli, verify
 from rankdyn.cli import main, read_manifest, usable_cpus
 from rankdyn.dynamics import Engine
 from rankdyn.errors import GroupTooSmall, ManifestError
-from rankdyn.lapack import openblas, qr_kernels
+from rankdyn.lapack import eig_kernel, openblas, qr_kernels
 from rankdyn.spectral import Centering
 from rankdyn.tensor_io import HEADER_SIZE
 
@@ -403,6 +403,9 @@ def test_metrics_bytes_do_not_depend_on_worker_count(tmp_path, engine, center):
     assert errors[5] == f"FormatError: 1 trailing bytes after the payload (byte offset {TAIL})"
     assert report["engine"] == engine
     assert report["qr"] == (("lapack" if qr_kernels() else "numpy") if engine == "naive" else None)
+    assert report["eig"] == (
+        ("lapack" if eig_kernel() else "numpy") if engine == "incremental" else None
+    )
     assert report["rows"] == {"ok": 4, "skipped": 0, "error": 2}
     assert report["errors"] == {"FormatError": 1, "TrajectoryTooShort": 1}
     assert set(report["stage_s"]) == {"read", "metrics", "write"}
@@ -427,6 +430,21 @@ def test_numpy_qr_fallback_bytes_do_not_depend_on_worker_count(tmp_path, center)
         assert got[:3] + got[6:] == want[:3] + want[6:]
         values = [[float(v or "nan") for v in row[3:6]] for row in (got, want)]
         np.testing.assert_allclose(*values, rtol=0, atol=1e-10)
+
+
+NUMPY_EIG = "from rankdyn import cli, lapack; lapack.eig_kernel = lambda: None; cli.run()"
+
+
+@pytest.mark.parametrize("center", ["raw", "rowmean"])
+def test_numpy_eig_fallback_keeps_the_bytes(tmp_path, center):
+    write_mixed_batch(tmp_path)
+    args = ["metrics", "--in", tmp_path / "*.hsmx", "--stride", "8", "--center", center,
+            "--engine", "incremental"]
+    code, _, data, report = worker_counts_agree(args, tmp_path, program=("-c", NUMPY_EIG))
+    assert code == 0 and report["eig"] == "numpy" and report["qr"] is None
+    out = tmp_path / "default.csv"
+    assert main([str(a) for a in args] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == data
 
 
 def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
@@ -495,6 +513,100 @@ def test_main_keeps_metric_phase_in_process(tmp_path):
     args = ["--in", str(tmp_path / "*.hsmx"), "--out", str(tmp_path / "m.csv")]
     assert main(["metrics", *args, "--stride", "8", "--stats", str(stats)]) == 0
     assert json.loads(stats.read_text())["workers"] == 1
+
+
+# Each read_matrix call leaves a file named after the trajectory and the pid,
+# and the file named fail_on raises a ValueError. After the run, the CLI checks
+# that it has no child left, reaped or not.
+COUNT_READS_CLI = """
+import os, sys
+from rankdyn import cli
+
+read_matrix = cli.read_matrix
+
+def counted(path):
+    name = os.path.basename(path)
+    open(os.path.join({reads!r}, f"{{name}}-{{os.getpid()}}"), "w").close()
+    if name == {fail_on!r}:
+        raise ValueError(f"cannot use {{path}}")
+    return read_matrix(path)
+
+cli.read_matrix = counted
+try:
+    cli.run()
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child is left", file=sys.stderr)
+    except ChildProcessError:
+        pass
+"""
+
+needs_two_workers = pytest.mark.skipif(
+    usable_cpus() < 2 or openblas() is None,
+    reason="needs a forking metric phase (two CPUs, a pinnable BLAS)",
+)
+
+
+def counting_cli(tmp_path, fail_on=None):
+    """(program, reads directory) for run_cli: COUNT_READS_CLI on a fresh directory."""
+    reads = tmp_path / "reads"
+    reads.mkdir()
+    return ("-c", COUNT_READS_CLI.format(reads=str(reads), fail_on=fail_on)), reads
+
+
+def write_batch(tmp_path, lengths, cols=64):
+    for i, rows in enumerate(lengths):
+        write_trajectory(tmp_path / f"t{i:02d}.hsmx", rows, cols, seed=i)
+    return tmp_path / "*.hsmx"
+
+
+@needs_two_workers
+def test_forked_phase_stops_at_a_bad_stride(tmp_path):
+    batch = write_batch(tmp_path, [200] * 16)
+    program, reads = counting_cli(tmp_path)
+    out = tmp_path / "m.csv"
+    proc = run_cli("metrics", "--in", batch, "--out", out, "--stride", "0", program=program)
+    assert (proc.returncode, proc.stderr) == (2, "error: stride must be >= 1\n")
+    assert not out.exists()
+    # The first job to fail stops the phase: at most one read per worker.
+    pids = [p.name.rsplit("-", 1)[1] for p in reads.iterdir()]
+    assert 1 <= len(pids) == len(set(pids)) <= 2
+
+
+@needs_two_workers
+def test_forked_phase_raises_the_first_error_in_input_order(tmp_path, monkeypatch, capsys):
+    batch = write_batch(tmp_path, [200] * 16)
+    program, reads = counting_cli(tmp_path, fail_on="t05.hsmx")
+    out = tmp_path / "m.csv"
+    proc = run_cli("metrics", "--in", batch, "--out", out, program=program)
+
+    def fail_on_t05(path):
+        if Path(path).name == "t05.hsmx":
+            raise ValueError(f"cannot use {path}")
+        return read_matrix(path)
+
+    monkeypatch.setattr(cli, "read_matrix", fail_on_t05)
+    assert main(["metrics", "--in", str(batch), "--out", str(out)]) == proc.returncode == 2
+    assert proc.stderr == capsys.readouterr().err == f"error: cannot use {tmp_path / 't05.hsmx'}\n"
+    assert not out.exists()
+    # t00 to t05, plus at most what the other worker had in flight
+    read = sorted(p.name.split(".")[0] for p in reads.iterdir())
+    assert read[:6] == [f"t{i:02d}" for i in range(6)] and len(read) <= 8
+
+
+@needs_two_workers
+def test_forked_phase_keeps_input_order_on_uneven_lengths(tmp_path):
+    lengths = [900, 41, 700, 90, 50, 600, 45, 300]
+    batch = write_batch(tmp_path, lengths, cols=32)
+    program, reads = counting_cli(tmp_path)
+    code, stderr, data, report = worker_counts_agree(
+        ["metrics", "--in", batch, "--engine", "incremental"], tmp_path, program=program
+    )
+    assert (code, stderr, report["workers"]) == (0, "", min(usable_cpus(), len(lengths)))
+    rows = list(csv.reader(data.decode().splitlines()))[1:]
+    assert [(r[0], int(r[1])) for r in rows] == [(f"t{i:02d}", t) for i, t in enumerate(lengths)]
+    assert len(list(reads.iterdir())) == 2 * len(lengths)  # the in-process run, then the pool
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")

@@ -9,9 +9,11 @@ from rankdyn import (
     prefix_metric_series,
     spectral_summary,
 )
+from rankdyn import lapack
 from rankdyn.dynamics import eval_steps
 from rankdyn.errors import DegenerateMatrix, DimensionMismatch
-from rankdyn.gram_stream import GramStreamState, gram_prefix_eranks
+from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState, gram_prefix_eranks
+from rankdyn.spectral import shifted, summary_from_singular_values
 from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
 
 
@@ -69,6 +71,14 @@ def test_erank_from_gram_trivial_cases():
     assert erank_from_gram(np.outer(v, v)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DegenerateMatrix):
         erank_from_gram(np.zeros((3, 3)))
+
+
+def test_erank_from_gram_copies_a_c_ordered_gram():
+    data = np.random.default_rng(4).standard_normal((6, 9))
+    gram = data @ data.T
+    before = gram.copy()
+    erank_from_gram(gram)
+    assert np.array_equal(gram, before)
 
 
 def test_erank_from_gram_matches_svd_path():
@@ -135,3 +145,50 @@ def test_centered_stream_stride_one_starts_at_two_rows():
     )
     assert factor.eval_steps == (2, 3, 4)
     np.testing.assert_allclose(streamed, [*factor.prefix_values, factor.final], rtol=1e-8)
+
+
+def gram_prefix_eranks_with_temporaries(data, steps, centering):
+    """The engine as it was before its in-place solve: a centered copy of each
+    prefix's Gram matrix, solved by np.linalg.eigvalsh."""
+    data = shifted(data, steps, centering)
+    rows, dims = data.shape
+    centered = centering is Centering.ROW_MEAN_CENTERED
+    ends = [*steps, rows]
+    head = data[: max((t for t in ends if t <= dims), default=0)]
+    head_gram = head @ head.T
+    state = GramStreamState(dims)
+    eranks = []
+    for t in ends:
+        if t <= dims:
+            gram = head_gram[:t, :t]
+            if centered:
+                r = gram.mean(axis=1)
+                gram = gram - r[:, None] - r[None, :] + r.mean()
+        else:
+            state.extend(data[state.t : t])
+            gram = state.scatter
+            if centered:
+                gram = gram - np.outer(state.row_sum, state.row_sum) / t
+        eigvals = np.linalg.eigvalsh(gram)
+        clamp = EIGENVALUE_CLAMP * max(float(np.trace(gram)), 0.0)
+        eigvals = np.where(eigvals > clamp, eigvals, 0.0)
+        eranks.append(summary_from_singular_values(np.sqrt(eigvals)).effective_rank)
+    return np.array(eranks)
+
+
+# (T, D, stride): T < D, T = D and T > D, at stride 1 and at strides that leave a tail.
+IN_PLACE_SHAPES = [(17, 24, 1), (17, 24, 5), (24, 24, 1), (24, 24, 5), (64, 24, 1), (61, 24, 8)]
+
+
+@pytest.mark.parametrize("kernel", ["dsyevd", "numpy"])
+@pytest.mark.parametrize("centering", Centering)
+@pytest.mark.parametrize("shape", IN_PLACE_SHAPES)
+def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
+    rows, dims, stride = shape
+    steps = eval_steps(rows, stride, centering)
+    if kernel == "numpy":  # the fallback of lapack.eigvalsh
+        monkeypatch.setattr(lapack, "eig_kernel", lambda: None)
+    for fixture in FIXTURES:
+        data = hard_fixture(fixture, rows, dims, seed=rows + dims + stride).data
+        want = gram_prefix_eranks_with_temporaries(data, steps, centering)
+        assert (gram_prefix_eranks(data, steps, centering) == want).all(), fixture

@@ -33,10 +33,11 @@ def test_kernel_misuse_raises():
         lapack.fold_rows(np.zeros((4, 4)), np.ones((1, 4)))
 
 
-def without_kernels(monkeypatch, run):
-    """run() on the np.linalg.qr fallback of row_factor and fold_rows."""
+def without_kernels(monkeypatch, run, binder="qr_kernels"):
+    """run() on the numpy fallback: of row_factor and fold_rows by default, of
+    eigvalsh with binder="eig_kernel"."""
     with monkeypatch.context() as patch:
-        patch.setattr(lapack, "qr_kernels", lambda: None)
+        patch.setattr(lapack, binder, lambda: None)
         return run()
 
 
@@ -69,3 +70,22 @@ def test_factor_engine_leaves_data_unchanged(stride, centering, rows, dims):
     factor_prefix_eranks(data, eval_steps(rows, stride, centering), centering)
     assert np.array_equal(data, before)
 
+
+
+@pytest.mark.skipif(lapack.eig_kernel() is None, reason="no LAPACK eigensolver")
+def test_eigvalsh_reads_numpys_triangle_bit_for_bit(monkeypatch):
+    # Centered as the Gram engine centers, the two triangles round differently.
+    x = hard_fixture("power-law", 40, 64, seed=3).data
+    g = x @ x.T
+    r = g.mean(axis=1)
+    a = g - r[:, None] - r[None, :] + r.mean()
+    assert not np.array_equal(a, a.T)
+    want = np.linalg.eigvalsh(a)
+    assert not np.array_equal(want, np.linalg.eigvalsh(a, UPLO="U"))
+    assert np.array_equal(lapack.eigvalsh(np.asfortranarray(a)), want)
+    fallback = without_kernels(
+        monkeypatch, lambda: lapack.eigvalsh(np.asfortranarray(a)), binder="eig_kernel"
+    )
+    assert np.array_equal(fallback, want)
+    with pytest.raises(ctypes.ArgumentError):  # in C order dsyevd would read the other triangle
+        lapack.eigvalsh(a)
