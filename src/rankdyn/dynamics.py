@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import gram_stream
 from .errors import SeriesTooShort, TrajectoryTooShort
-from .gram_stream import gram_prefix_eranks
 from .lapack import fold_rows, row_factor
 from .spectral import Centering, center, shifted, summary_from_singular_values
 from .spectral import effective_rank  # noqa: F401  still hooked by this name in perfbench/
@@ -97,19 +98,13 @@ def series_from_values(values: np.ndarray, steps: list[int], final: float) -> Me
     )
 
 
-def factor_prefix_eranks(
-    data: np.ndarray, steps: list[int], centering: Centering
-) -> np.ndarray:
-    """Exact effective rank of each prefix data[:t], t in the increasing steps
-    and then t = T, from small triangular factors instead of an SVD of every
-    prefix.
+def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iterator[np.ndarray]:
+    """Per end t, a matrix with the singular values of the prefix data[:t],
+    centered in centered mode, from small triangular factors.
 
     Prefixes with t <= D: one QR of data[:m].T gives a lower-triangular L
     with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
     Row-mean centering commutes with Q^T, so centered mode centers that block.
-
-    Centered mode first shifts the rows by the mean of the first eval prefix
-    (`spectral.shifted`), so a large common offset costs no digits.
 
     Longer prefixes stream a D-by-D R factor over the rows between consecutive
     ends, R <- qr([R; chunk]) as in TSQR (Demmel et al., SISC 2012). Centered
@@ -121,15 +116,13 @@ def factor_prefix_eranks(
     Both QRs are `lapack.row_factor` and `lapack.fold_rows`, the latter on an
     R that starts at zero.
     """
-    data = shifted(data, steps, centering)
     rows, dims = data.shape
-    if steps[0] <= dims:
+    if ends[0] <= dims:
         lower = row_factor(data[: min(rows, dims)])
     if rows > dims:
         factor = np.zeros((dims, dims), order="F")
-    eranks = []
     count, mean = 0, np.zeros(dims)
-    for t in [*steps, rows]:
+    for t in ends:
         if t <= dims:
             block = center(lower[:t, :t], centering)
         else:
@@ -142,9 +135,24 @@ def factor_prefix_eranks(
                 mean = mean + (chunk_mean - mean) * (b / t)
             fold_rows(factor, chunk)
             block, count = factor, t
-        sigma = np.linalg.svd(block, compute_uv=False)
-        eranks.append(summary_from_singular_values(sigma).effective_rank)
-    return np.array(eranks)
+        yield block
+
+
+def prefix_eranks(
+    data: np.ndarray, steps: list[int], centering: Centering, engine: Engine
+) -> np.ndarray:
+    """Effective rank of each prefix data[:t], t in the increasing steps and
+    then t = T, the final ER. Centered mode first shifts the rows by the mean
+    of the first eval prefix (`spectral.shifted`). Each engine yields one
+    matrix per end, solved here before the engine resumes and may overwrite it."""
+    ends = [*steps, data.shape[0]]
+    build = gram_stream.gram_blocks if engine is Engine.INCREMENTAL_GRAM else factor_blocks
+    blocks = build(shifted(data, steps, centering), ends, centering)
+    if engine is Engine.INCREMENTAL_GRAM:
+        # Looked up on its module at each call: perfbench wraps it there.
+        return np.array([gram_stream.erank_from_gram(gram) for gram in blocks])
+    sigmas = (np.linalg.svd(block, compute_uv=False) for block in blocks)
+    return np.array([summary_from_singular_values(s).effective_rank for s in sigmas])
 
 
 def prefix_metric_series(
@@ -156,8 +164,7 @@ def prefix_metric_series(
     """Effective rank on every stride-aligned prefix, its differences, and the
     effective rank of all T rows."""
     steps = eval_steps(matrix.rows, stride, centering)
-    eranks = gram_prefix_eranks if engine is Engine.INCREMENTAL_GRAM else factor_prefix_eranks
-    *values, final = eranks(matrix.data, steps, centering)
+    *values, final = prefix_eranks(matrix.data, steps, centering, engine)
     return series_from_values(values, steps, final)
 
 

@@ -1,28 +1,28 @@
 """Prefix effective rank from Gram eigenvalues (`--engine incremental`).
 
-In centered mode the rows are first shifted by the mean of the first eval
-prefix (`spectral.shifted`), so the Gram products below see no large common
-offset. Prefixes of t <= D rows take the leading t-by-t block of one Gram
-matrix G = Z Z^T of the first rows, centered algebraically with r, the row
-means of that block:
+`dynamics.prefix_eranks` shifts the rows in centered mode, so the Gram
+products below see no large common offset. Prefixes of t <= D rows take the
+leading t-by-t block of one Gram matrix G = Z Z^T of the first rows, centered
+algebraically with r, the row means of that block:
 
     G_c = G - r 1^T - 1 r^T + mean(r)
 
 Longer prefixes accumulate the D-by-D scatter S = Z^T Z and the row sum s
-chunk by chunk, centered as S - s s^T / t. All T rows, for the final metric,
-take the same path as a prefix of T rows. Effective rank then comes from the
+chunk by chunk, centered as S - s s^T / t. Effective rank then comes from the
 eigenvalues, sigma_j = sqrt(lambda_j). A Gram matrix squares the condition
-number of the rows, so this engine trails a per-prefix SVD on
-ill-conditioned inputs.
+number of the rows, so this engine trails a per-prefix SVD on ill-conditioned
+inputs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch
+from .errors import DimensionMismatch
 from .lapack import eigvalsh
-from .spectral import Centering, shifted, summary_from_singular_values
+from .spectral import Centering, summary_from_singular_values
 
 # Gram eigenvalues below this fraction of the trace are clamped to zero
 # before the square root (the Gram path squares the conditioning of SVD).
@@ -63,21 +63,14 @@ def erank_from_gram(gram: np.ndarray) -> float:
     clamp = EIGENVALUE_CLAMP * max(float(np.trace(gram)), 0.0)
     eigvals = eigvalsh(gram)
     eigvals = np.where(eigvals > clamp, eigvals, 0.0)
-    if not np.any(eigvals > 0.0):
-        raise DegenerateMatrix("Gram matrix has no eigenvalue above the clamp")
     return summary_from_singular_values(np.sqrt(eigvals)).effective_rank
 
 
-def gram_prefix_eranks(
-    data: np.ndarray, steps: list[int], centering: Centering
-) -> np.ndarray:
-    """Effective rank of each prefix data[:t], t in the increasing steps and
-    then t = T. Every prefix's Gram matrix is built and centered in place in
-    one F-ordered buffer, which erank_from_gram then solves in place."""
-    data = shifted(data, steps, centering)
+def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iterator[np.ndarray]:
+    """Per end t, the Gram matrix of the prefix data[:t], centered in centered
+    mode, built and centered in place in one F-ordered buffer."""
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
-    ends = [*steps, rows]
     head = data[: max((t for t in ends if t <= dims), default=0)]
     head_gram = head @ head.T
     # The C-ordered transpose of an F-ordered block is filled row by row, about
@@ -86,7 +79,6 @@ def gram_prefix_eranks(
     symmetric = np.array_equal(head_gram, head_gram.T)
     buffer = np.empty(min(rows, dims) ** 2)
     state = GramStreamState(dims)
-    eranks = []
     for t in ends:
         n = min(t, dims)
         gram = buffer[: n * n].reshape(n, n, order="F")
@@ -105,5 +97,4 @@ def gram_prefix_eranks(
                 outer = np.outer(state.row_sum, state.row_sum)
                 outer /= t
                 gram -= outer
-        eranks.append(erank_from_gram(gram))
-    return np.array(eranks)
+        yield gram

@@ -73,6 +73,11 @@ def ema_update(state: EmaState, metric: str, m: float) -> EmaState:
     )
 
 
+def require_positive_finite(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ShapingConfig:
     """Shaping settings; the EMA's gamma and zero-init flag live on EmaState."""
@@ -82,9 +87,8 @@ class ShapingConfig:
     pre_update_deviation: bool = False
 
     def __post_init__(self):
-        for name, value in (("kappa", self.kappa), ("epsilon", self.epsilon)):
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite")
+        require_positive_finite("kappa", self.kappa)
+        require_positive_finite("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,7 @@ class ShapingOutcome:
 
 def relative_deviation(m: float, mu: float, epsilon: float) -> float:
     """How far an observation sits from its baseline, in baseline units."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_positive_finite("epsilon", epsilon)
     return (m - mu) / (abs(mu) + epsilon)
 
 
@@ -125,8 +128,7 @@ def auxiliary_advantage(d0: float, d1: float, weights: tuple[float, float]) -> f
 
 def shape_advantage(a0: float, phi: float, kappa: float) -> float:
     """Add phi as a non-negative bonus clipped at |a0|/kappa."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    require_positive_finite("kappa", kappa)
     a_hat = a0 + min(max(0.0, phi), abs(a0) / kappa)
     if a0 < 0.0 and kappa > 1.0:
         # At subnormal |a0| the rounded cap can reach |a0|; keep the sign.

@@ -119,10 +119,9 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         )
     np_dtype = np.dtype("<f8") if dtype_flag == 0 else np.dtype("<f4")
     flat = np.frombuffer(raw, dtype=np_dtype, count=rows * cols, offset=HEADER_SIZE)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise NonFiniteValue(
-            "non-finite scalar in payload", offset=HEADER_SIZE + int(bad[0]) * itemsize
-        )
     data = flat.astype(np.float64).reshape(rows, cols)
-    return HiddenStateMatrix(data, MatrixKind(kind_flag))
+    try:
+        return HiddenStateMatrix(data, MatrixKind(kind_flag))
+    except NonFiniteValue:  # the constructor scans; find the offset only on failure
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteValue("non-finite scalar in payload", HEADER_SIZE + bad * itemsize) from None

@@ -108,6 +108,18 @@ def test_metrics_unreadable_file_reported_not_fatal(tmp_path):
     assert errors[2].startswith("FileNotFoundError: ") and str(tmp_path / "c.hsmx") in errors[2]
 
 
+@pytest.mark.parametrize("center", ["raw", "rowmean"])
+def test_all_zero_trajectory_writes_one_error_on_both_engines(tmp_path, center):
+    write_matrix(HiddenStateMatrix(np.zeros((96, 8))), tmp_path / "z.hsmx")
+    errors = []
+    for engine in ("naive", "incremental"):
+        out = tmp_path / f"{engine}.csv"
+        args = ["--center", center, "--engine", engine, "--stride", "8", "--out", str(out)]
+        assert main(["metrics", "--in", str(tmp_path / "z.hsmx"), *args]) == 0
+        errors.append(read_csv(out)[1][6])
+    assert errors == ["DegenerateMatrix: all singular values vanish"] * 2
+
+
 def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
     missing = tmp_path / "gone" / "x"
@@ -341,7 +353,8 @@ def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
         layers[argv[0]] = spans.layer_metrics([recorder], [out.stat().st_size])
     metrics, shape = layers["metrics"], layers["shape"]
     assert metrics["dynamics.prefixes"] == shape["dynamics.prefixes"] == 8
-    assert metrics["gram_stream.eig_calls"] > 0
+    # One solve per prefix and per final ER; T = 30 has neither.
+    assert metrics["gram_stream.eig_calls"] == 8 + 3
     assert (shape["shaping.shaped"], shape["shaping.skipped"], shape["shaping.clipped"]) == (1, 2, 1)
 
 

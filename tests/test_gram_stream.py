@@ -10,9 +10,9 @@ from rankdyn import (
     spectral_summary,
 )
 from rankdyn import lapack
-from rankdyn.dynamics import eval_steps
+from rankdyn.dynamics import eval_steps, prefix_eranks
 from rankdyn.errors import DegenerateMatrix, DimensionMismatch
-from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState, gram_prefix_eranks
+from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState
 from rankdyn.spectral import shifted, summary_from_singular_values
 from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
 
@@ -107,7 +107,7 @@ def test_chunking_associativity():
 def test_single_prefix_equals_one_shot():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((9, 5))
-    series = gram_prefix_eranks(data, [8], Centering.RAW)
+    series = prefix_eranks(data, [8], Centering.RAW, Engine.INCREMENTAL_GRAM)
     direct = spectral_summary(HiddenStateMatrix(data[:8])).effective_rank
     assert series[0] == pytest.approx(direct, rel=1e-10)
 
@@ -139,7 +139,7 @@ def test_centered_stream_stride_one_starts_at_two_rows():
     # a one-row prefix cannot be centered, so both engines start at t=2
     data = np.random.default_rng(9).standard_normal((5, 3))
     steps = eval_steps(5, 1, Centering.ROW_MEAN_CENTERED)
-    streamed = gram_prefix_eranks(data, steps, Centering.ROW_MEAN_CENTERED)
+    streamed = prefix_eranks(data, steps, Centering.ROW_MEAN_CENTERED, Engine.INCREMENTAL_GRAM)
     factor = prefix_metric_series(
         HiddenStateMatrix(data), 1, Centering.ROW_MEAN_CENTERED, Engine.FACTOR
     )
@@ -191,4 +191,5 @@ def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
     for fixture in FIXTURES:
         data = hard_fixture(fixture, rows, dims, seed=rows + dims + stride).data
         want = gram_prefix_eranks_with_temporaries(data, steps, centering)
-        assert (gram_prefix_eranks(data, steps, centering) == want).all(), fixture
+        got = prefix_eranks(data, steps, centering, Engine.INCREMENTAL_GRAM)
+        assert (got == want).all(), fixture

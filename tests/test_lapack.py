@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankdyn import lapack
-from rankdyn.dynamics import Engine, eval_steps, factor_prefix_eranks
+from rankdyn.dynamics import Engine, eval_steps, prefix_eranks
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
 
@@ -49,9 +49,9 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
     rows, dims, stride = shape
     matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
     steps = eval_steps(rows, stride, centering)
-    kernel = factor_prefix_eranks(matrix.data, steps, centering)
+    kernel = prefix_eranks(matrix.data, steps, centering, Engine.FACTOR)
     fallback = without_kernels(
-        monkeypatch, lambda: factor_prefix_eranks(matrix.data, steps, centering)
+        monkeypatch, lambda: prefix_eranks(matrix.data, steps, centering, Engine.FACTOR)
     )
     np.testing.assert_allclose(kernel, fallback, rtol=1e-12, atol=0)
     drift = engine_drift(matrix, stride, centering, Engine.FACTOR)
@@ -67,7 +67,7 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
 def test_factor_engine_leaves_data_unchanged(stride, centering, rows, dims):
     data = hard_fixture("gaussian", rows, dims, seed=stride).data
     before = data.copy()
-    factor_prefix_eranks(data, eval_steps(rows, stride, centering), centering)
+    prefix_eranks(data, eval_steps(rows, stride, centering), centering, Engine.FACTOR)
     assert np.array_equal(data, before)
 
 

@@ -144,6 +144,19 @@ def test_shaping_config_rejects_nonpositive_or_nonfinite(field, value):
         ShapingConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda v: shape_advantage(1.0, 0.9, v), "kappa"),
+     (lambda v: relative_deviation(1.0, 0.0, v), "epsilon")],
+    ids=["shape_advantage", "relative_deviation"],
+)
+def test_shaping_functions_reject_nonpositive_or_nonfinite(call, name, value):
+    # shape_advantage(1.0, 0.9, nan) used to return 1.9, past the |a0|/kappa clip
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        call(value)
+
+
 def test_first_trajectory_is_neutral():
     config = ShapingConfig()
     outcome, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, EmaState(), config)
