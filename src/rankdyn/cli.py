@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import verify as verifymod
-from .dynamics import DEFAULT_STRIDE, Engine, trajectory_metrics
+from .dynamics import DEFAULT_STRIDE, Engine, require_stride, trajectory_metrics
 from .errors import GroupTooSmall, ManifestError, RankdynError, TrajectoryTooShort
 from .shaping import (
     EmaState,
@@ -57,9 +57,10 @@ def _fmt(value: float | None) -> str:
 def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine) -> tuple:
     """Metric phase of one trajectory: (values, read seconds, metric seconds).
 
-    values is (T, D, er, erv, era), or (error type name, message) for a
-    RankdynError or an unreadable file: plain values only, as
-    FormatError(message, offset) cannot be unpickled.
+    values is (T, D, er, erv, era), or (error type name, message) for any
+    Exception, so one bad trajectory costs its row and never the batch: plain
+    values only, as FormatError(message, offset) cannot be unpickled. This is
+    the one place a trajectory's failure becomes a value.
     """
     clock = [time.perf_counter()]
     try:
@@ -67,7 +68,7 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
         clock.append(time.perf_counter())
         final_er, series = trajectory_metrics(matrix, stride, centering, engine)
         values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
-    except (RankdynError, OSError) as exc:
+    except Exception as exc:
         values = (type(exc).__name__, str(exc))
     clock.append(time.perf_counter())
     return values, clock[1] - clock[0], clock[-1] - clock[1]
@@ -109,10 +110,10 @@ INDEX_BYTES = 8  # one job index in the index pipe, written and read whole
 def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
                  inherited: list[int]) -> None:
     """Body of one forked worker; never returns. The index pipe holds the next
-    job index, which one worker at a time takes and puts back plus one; a job
-    that raises puts back len(items) instead, so only the jobs already in
-    flight still run. The (index, ok, result or exception) of its jobs go to
-    the parent, pickled, on out_w. inherited are fds of the parent it closes."""
+    job index, which one worker at a time takes and puts back plus one, until
+    it reads len(items). The (index, result) of its jobs go to the parent,
+    pickled, on out_w. A job that raises ends the worker with exit code 1.
+    inherited are fds of the parent it closes."""
     code, done = 1, []
     index_r, index_w, out_w = pipes
     try:
@@ -121,12 +122,7 @@ def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
             os.close(fd)
         while (index := int.from_bytes(os.read(index_r, INDEX_BYTES), "little")) < len(items):
             os.write(index_w, (index + 1).to_bytes(INDEX_BYTES, "little"))
-            try:
-                done.append((index, True, job(items[index])))
-            except Exception as exc:
-                done.append((index, False, exc))
-                os.read(index_r, INDEX_BYTES)
-                break
+            done.append((index, job(items[index])))
         os.write(index_w, len(items).to_bytes(INDEX_BYTES, "little"))
         with os.fdopen(out_w, "wb") as out:
             pickle.dump(done, out)
@@ -137,48 +133,44 @@ def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
 
 def fork_map(job, items: list, workers: int) -> list:
     """[job(item) for item in items] on `workers` bare forked workers, which die
-    with this process (die_with_parent). Jobs start in input order, and the
-    first exception in input order is raised once the jobs in flight are done.
-    A worker that dies raises BrokenProcessPool. Every worker is reaped on
-    every way out."""
+    with this process (die_with_parent). Jobs start in input order. A worker
+    that dies, a job that raises included, raises BrokenProcessPool. Every
+    worker is reaped and every pipe closed on every way out."""
     parent, (index_r, index_w) = os.getpid(), os.pipe()
     os.write(index_w, (0).to_bytes(INDEX_BYTES, "little"))
+    chunks: dict[int, list[bytes]] = {}  # result pipe -> what it has sent
     pids: dict[int, int] = {}  # result pipe -> worker pid, until reaped
-    chunks: dict[int, list[bytes]] = {}
-    results: dict[int, tuple] = {}
+    results: dict[int, object] = {}
     try:
         for _ in range(workers):
             out_r, out_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _fork_worker(job, items, parent, (index_r, index_w, out_w), [out_r, *pids])
-            os.close(out_w)
-            pids[out_r], chunks[out_r] = pid, []
+            chunks[out_r] = []
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_worker(job, items, parent, (index_r, index_w, out_w), list(chunks))
+            finally:  # in the parent only: a worker never returns
+                os.close(out_w)
+            pids[out_r] = pid
         while pids:
             for fd in select.select(list(pids), [], [])[0]:
                 if chunk := os.read(fd, 1 << 16):
                     chunks[fd].append(chunk)
                     continue
                 code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
-                os.close(fd)
                 if code:
                     from concurrent.futures.process import BrokenProcessPool
 
                     raise BrokenProcessPool(f"a metric worker died with exit code {code}")
-                for index, ok, value in pickle.loads(b"".join(chunks[fd])):
-                    results[index] = ok, value
+                results.update(pickle.loads(b"".join(chunks[fd])))
     finally:
-        for fd, pid in pids.items():
+        for pid in pids.values():
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for fd in [index_r, index_w, *chunks]:
             os.close(fd)
-        os.close(index_r)
-        os.close(index_w)
-    for index in sorted(results):
-        if not results[index][0]:
-            raise results[index][1]
-    return [results[index][1] for index in range(len(items))]
+    return [results[index] for index in range(len(items))]
 
 
 def metric_phase(
@@ -187,13 +179,14 @@ def metric_phase(
     """trajectory_job over every path, in input order, plus its run report.
 
     With fork, one worker per usable CPU and trajectory at most (fork_map; a
-    spawned one would import numpy anew). Either way the phase stops at the
-    first job that raises and raises its exception. BLAS runs on one thread on
-    every path, so no float depends on the worker count; with no known BLAS to
-    pin, all runs in-process.
+    spawned one would import numpy anew). A bad stride raises before any file
+    is read; a trajectory that fails is an error row (trajectory_job). BLAS
+    runs on one thread on every path, so no float depends on the worker count;
+    with no known BLAS to pin, all runs in-process.
     """
     from .lapack import eig_kernel, qr_kernels, single_threaded_blas
 
+    require_stride(stride)
     start = time.perf_counter()
     job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
     with single_threaded_blas() as pinned:

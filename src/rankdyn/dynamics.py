@@ -47,11 +47,15 @@ class MetricSeries:
     final: float  # the metric on all T rows, tail beyond the last step included
 
 
+def require_stride(stride: int) -> None:
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+
+
 def eval_steps(rows: int, stride: int, centering: Centering = Centering.RAW) -> list[int]:
     """The stride multiples below `rows`. A centered prefix needs two rows, so
     centered mode starts at the first multiple >= 2 (t=2 at stride 1)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    require_stride(stride)
     first = max(stride, 2) if centering is Centering.ROW_MEAN_CENTERED else stride
     steps = list(range(first, rows, stride))
     if not steps:

@@ -70,13 +70,15 @@ class HiddenStateMatrix:
 
 
 def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64") -> None:
-    """Serialize a matrix to the HSMX format. dtype is 'f64' or 'f32'."""
+    """Serialize a matrix to the HSMX format. dtype is 'f64', or 'f32' if every value fits."""
     if dtype not in ("f64", "f32"):
         raise ValueError(f"unsupported dtype {dtype!r}")
     flag = 0 if dtype == "f64" else 1
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, flag, matrix.kind.value, 0, matrix.rows, matrix.cols
     )
+    if flag and max(matrix.data.max(), -matrix.data.min()) > np.finfo(np.float32).max:
+        raise ValueError("a value is outside the f32 range")
     payload = np.ascontiguousarray(
         matrix.data, dtype=np.float64 if flag == 0 else np.float32
     )

@@ -162,14 +162,17 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in proc.stderr
 
 
-def test_stride_below_one_exits_2(tmp_path, capsys):
+def test_stride_below_one_exits_2(tmp_path, capsys, monkeypatch):
     manifest = make_manifest(tmp_path, n_groups=1, group_size=2)
     out = tmp_path / "o.csv"
+    reads = []
+    monkeypatch.setattr(cli, "read_matrix", reads.append)
     for argv in [["metrics", "--in", str(tmp_path / "*.hsmx")],
                  ["shape", "--manifest", str(manifest)]]:
         assert main([*argv, "--out", str(out), "--stride", "0"]) == 2
         assert capsys.readouterr().err == "error: stride must be >= 1\n"
         assert not out.exists()
+    assert reads == []
 
 
 def make_manifest(tmp_path, n_groups=2, group_size=4, rows=96):
@@ -320,6 +323,15 @@ def test_cli_defaults_come_from_the_library():
     defaults = inspect.signature(trajectory_metrics).parameters
     library = (defaults["centering"].default.value, defaults["engine"].default.value)
     assert (shape.center, shape.engine) == library == ("raw", "naive")
+
+
+def test_import_leaves_the_lazy_modules_unloaded():
+    # setup_s pays for every module `import rankdyn.cli` loads; these are
+    # imported only where they are used.
+    lazy = ["numpy.ctypeslib", "concurrent.futures", "json"]
+    script = f"import sys, rankdyn.cli; print([m for m in {lazy} if m in sys.modules])"
+    proc = run_cli(program=("-c", script))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
@@ -520,6 +532,31 @@ def test_shape_bytes_do_not_depend_on_worker_count(tmp_path):
     assert stderr == f"error: {paths[5]}: FormatError: {message}\n"
 
 
+# read_matrix raises a MemoryError on the file named fail_on.
+NO_MEMORY_CLI = """
+from rankdyn import cli
+read_matrix = cli.read_matrix
+
+def no_memory(path):
+    if path.endswith({fail_on!r}):
+        raise MemoryError("cannot allocate")
+    return read_matrix(path)
+
+cli.read_matrix = no_memory
+cli.run()
+"""
+
+
+def test_shape_aborts_on_a_memory_error_without_a_traceback(tmp_path):
+    manifest = make_manifest(tmp_path, n_groups=1, group_size=6)
+    program = ("-c", NO_MEMORY_CLI.format(fail_on="t2.hsmx"))
+    code, stderr, data, report = worker_counts_agree(
+        ["shape", "--manifest", manifest, "--stride", "8"], tmp_path, program=program
+    )
+    assert (code, data, report) == (2, None, None)
+    assert stderr == f"error: {tmp_path / 't2.hsmx'}: MemoryError: cannot allocate\n"
+
+
 def test_main_keeps_metric_phase_in_process(tmp_path):
     write_mixed_batch(tmp_path)
     stats = tmp_path / "stats.json"
@@ -529,10 +566,11 @@ def test_main_keeps_metric_phase_in_process(tmp_path):
 
 
 # Each read_matrix call leaves a file named after the trajectory and the pid,
-# and the file named fail_on raises a ValueError. After the run, the CLI checks
+# and the file named fail_on raises a LinAlgError. After the run, the CLI checks
 # that it has no child left, reaped or not.
 COUNT_READS_CLI = """
 import os, sys
+from numpy.linalg import LinAlgError
 from rankdyn import cli
 
 read_matrix = cli.read_matrix
@@ -541,7 +579,7 @@ def counted(path):
     name = os.path.basename(path)
     open(os.path.join({reads!r}, f"{{name}}-{{os.getpid()}}"), "w").close()
     if name == {fail_on!r}:
-        raise ValueError(f"cannot use {{path}}")
+        raise LinAlgError("SVD did not converge")
     return read_matrix(path)
 
 cli.read_matrix = counted
@@ -582,30 +620,24 @@ def test_forked_phase_stops_at_a_bad_stride(tmp_path):
     proc = run_cli("metrics", "--in", batch, "--out", out, "--stride", "0", program=program)
     assert (proc.returncode, proc.stderr) == (2, "error: stride must be >= 1\n")
     assert not out.exists()
-    # The first job to fail stops the phase: at most one read per worker.
-    pids = [p.name.rsplit("-", 1)[1] for p in reads.iterdir()]
-    assert 1 <= len(pids) == len(set(pids)) <= 2
+    assert list(reads.iterdir()) == []  # checked before any file is read
 
 
 @needs_two_workers
-def test_forked_phase_raises_the_first_error_in_input_order(tmp_path, monkeypatch, capsys):
-    batch = write_batch(tmp_path, [200] * 16)
-    program, reads = counting_cli(tmp_path, fail_on="t05.hsmx")
-    out = tmp_path / "m.csv"
-    proc = run_cli("metrics", "--in", batch, "--out", out, program=program)
-
-    def fail_on_t05(path):
-        if Path(path).name == "t05.hsmx":
-            raise ValueError(f"cannot use {path}")
-        return read_matrix(path)
-
-    monkeypatch.setattr(cli, "read_matrix", fail_on_t05)
-    assert main(["metrics", "--in", str(batch), "--out", str(out)]) == proc.returncode == 2
-    assert proc.stderr == capsys.readouterr().err == f"error: cannot use {tmp_path / 't05.hsmx'}\n"
-    assert not out.exists()
-    # t00 to t05, plus at most what the other worker had in flight
+def test_forked_phase_writes_a_raising_job_as_its_row(tmp_path):
+    batch = write_batch(tmp_path, [200] * 6)
+    clean = worker_counts_agree(["metrics", "--in", batch], tmp_path)[2].decode().splitlines()
+    program, reads = counting_cli(tmp_path, fail_on="t02.hsmx")
+    code, stderr, data, report = worker_counts_agree(
+        ["metrics", "--in", batch], tmp_path, program=program
+    )
+    assert (code, stderr, report["errors"]) == (0, "", {"LinAlgError": 1})
+    rows = data.decode().splitlines()
+    assert rows[3] == "t02,,,,,,LinAlgError: SVD did not converge"
+    assert rows[:3] + rows[4:] == clean[:3] + clean[4:]
+    # Every file is read once in-process and once by the pool.
     read = sorted(p.name.split(".")[0] for p in reads.iterdir())
-    assert read[:6] == [f"t{i:02d}" for i in range(6)] and len(read) <= 8
+    assert read == sorted(2 * [f"t{i:02d}" for i in range(6)])
 
 
 @needs_two_workers
@@ -620,6 +652,72 @@ def test_forked_phase_keeps_input_order_on_uneven_lengths(tmp_path):
     rows = list(csv.reader(data.decode().splitlines()))[1:]
     assert [(r[0], int(r[1])) for r in rows] == [(f"t{i:02d}", t) for i, t in enumerate(lengths)]
     assert len(list(reads.iterdir())) == 2 * len(lengths)  # the in-process run, then the pool
+
+
+# Runs body, then checks that no child is left, reaped or not.
+FORK_MAP_PROGRAM = """
+import errno, json, os, sys, time
+from rankdyn import cli
+{body}
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", file=sys.stderr)
+except ChildProcessError:
+    pass
+"""
+
+
+def run_fork_map(body):
+    """fork_map called by body in a child interpreter: (stdout, stderr)."""
+    proc = run_cli(program=("-c", FORK_MAP_PROGRAM.format(body=inspect.cleandoc(body))))
+    assert proc.returncode == 0
+    return proc.stdout, proc.stderr
+
+
+def test_fork_map_keeps_input_order_on_uneven_job_times():
+    seconds = [0.3, 0.0, 0.2, 0.0, 0.1, 0.0, 0.0, 0.05]
+    stdout, stderr = run_fork_map(f"""
+        def nap(seconds):
+            time.sleep(seconds)
+            return seconds, os.getpid()
+        print(json.dumps([os.getpid(), cli.fork_map(nap, {seconds!r}, 2)]))
+    """)
+    parent, results = json.loads(stdout)
+    assert stderr == "" and [s for s, _ in results] == seconds
+    assert parent not in {pid for _, pid in results}
+
+
+def test_fork_map_fails_as_a_dead_worker_when_a_job_raises():
+    stdout, stderr = run_fork_map("""
+        def job(i):
+            if i == 3:
+                raise MemoryError(f"no room for job {i}")
+            return i
+        try:
+            cli.fork_map(job, list(range(8)), 2)
+        except RuntimeError as exc:
+            print(type(exc).__name__, exc)
+    """)
+    assert (stdout, stderr) == ("BrokenProcessPool a metric worker died with exit code 1\n", "")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts open fds in /proc/self/fd")
+def test_fork_map_closes_its_pipes_when_fork_fails():
+    stdout, stderr = run_fork_map("""
+        fork, calls = os.fork, []
+        def fork_once():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+        os.fork = fork_once
+        before = len(os.listdir("/proc/self/fd"))
+        try:
+            cli.fork_map(abs, [-1, -2, -3], 2)
+        except OSError as exc:
+            print(errno.errorcode[exc.errno], len(os.listdir("/proc/self/fd")) - before)
+    """)
+    assert (stdout, stderr) == ("EAGAIN 0\n", "")
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")

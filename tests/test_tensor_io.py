@@ -43,6 +43,14 @@ def test_f32_payload_widened(tmp_path):
     np.testing.assert_array_equal(back.data, data)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_f32_write_rejects_a_value_outside_its_range(tmp_path, value):
+    path = tmp_path / "m.hsmx"
+    with pytest.raises(ValueError, match="outside the f32 range"):
+        write_matrix(HiddenStateMatrix(np.array([[1.0, value]])), path, dtype="f32")
+    assert not path.exists()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.hsmx"
     write_matrix(HiddenStateMatrix(np.ones((2, 2))), path)
