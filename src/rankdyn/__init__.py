@@ -24,6 +24,6 @@ from .shaping import (
     shape_from_metrics,
 )
 from .spectral import Centering, SpectralSummary, effective_rank, spectral_summary
-from .tensor_io import HiddenStateMatrix, MatrixKind, read_matrix, write_matrix
+from .tensor_io import HiddenStateMatrix, read_matrix, write_matrix
 
 __version__ = "0.1.0"

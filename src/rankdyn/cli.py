@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import verify as verifymod
 from .dynamics import DEFAULT_STRIDE, Engine, require_stride, trajectory_metrics
-from .errors import GroupTooSmall, ManifestError, RankdynError, TrajectoryTooShort
+from .errors import GroupTooSmall, ManifestError, RankdynError, WorkerDied
 from .shaping import (
     EmaState,
     ShapingConfig,
@@ -134,8 +134,8 @@ def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
 def fork_map(job, items: list, workers: int) -> list:
     """[job(item) for item in items] on `workers` bare forked workers, which die
     with this process (die_with_parent). Jobs start in input order. A worker
-    that dies, a job that raises included, raises BrokenProcessPool. Every
-    worker is reaped and every pipe closed on every way out."""
+    that dies, a job that raises included, raises WorkerDied. Every worker is
+    reaped and every pipe closed on every way out."""
     parent, (index_r, index_w) = os.getpid(), os.pipe()
     os.write(index_w, (0).to_bytes(INDEX_BYTES, "little"))
     chunks: dict[int, list[bytes]] = {}  # result pipe -> what it has sent
@@ -159,9 +159,7 @@ def fork_map(job, items: list, workers: int) -> list:
                     continue
                 code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
                 if code:
-                    from concurrent.futures.process import BrokenProcessPool
-
-                    raise BrokenProcessPool(f"a metric worker died with exit code {code}")
+                    raise WorkerDied(f"a metric worker died with exit code {code}")
                 results.update(pickle.loads(b"".join(chunks[fd])))
     finally:
         for pid in pids.values():
@@ -180,9 +178,10 @@ def metric_phase(
 
     With fork, one worker per usable CPU and trajectory at most (fork_map; a
     spawned one would import numpy anew). A bad stride raises before any file
-    is read; a trajectory that fails is an error row (trajectory_job). BLAS
-    runs on one thread on every path, so no float depends on the worker count;
-    with no known BLAS to pin, all runs in-process.
+    is read; a trajectory that fails is an error row (trajectory_job), counted
+    in the report's rows and errors. BLAS runs on one thread on every path, so
+    no float depends on the worker count; with no known BLAS to pin, all runs
+    in-process.
     """
     from .lapack import eig_kernel, qr_kernels, single_threaded_blas
 
@@ -208,41 +207,44 @@ def metric_phase(
         "metric_phase_s": time.perf_counter() - start,
         "stage_s": {"read": sum(r[1] for r in results), "metrics": sum(r[2] for r in results)},
         "errors": {name: errors.count(name) for name in sorted(set(errors))},
+        "rows": {"ok": len(results) - len(errors), "error": len(errors)},
     }
     return [r[0] for r in results], report
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
+def _check_outputs(args: argparse.Namespace, inputs: list[str]) -> None:
     """Fail before the metric phase, writing nothing, if an output's directory is
-    missing, an output is a directory, or --out and --stats are one file."""
+    missing, an output is a directory, --out and --stats are one file, or an
+    output is one of the inputs (the manifest, a trajectory)."""
     paths = list(filter(None, (args.out, args.stats)))
+    read = {Path(path).resolve() for path in inputs}
     for path in paths:
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"{path}: no such directory {Path(path).parent}")
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
+        if Path(path).resolve() in read:
+            raise ValueError(f"{path}: is an input of this run")
     if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
         raise ValueError(f"--out {paths[0]} and --stats {paths[1]} are the same file")
 
 
-def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]], report: dict,
-            skipped: int = 0) -> int:
-    """Write the CSV, then the --stats report; `skipped` error rows were kept, not failed."""
+def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]],
+            report: dict) -> int:
+    """Write the CSV, then the --stats report."""
     write_start = time.perf_counter()
     _write_csv(args.out, header, rows)
     if args.stats:
         import json
 
-        failed = sum(report["errors"].values())
-        report["rows"] = {"ok": len(rows) - failed, "skipped": skipped, "error": failed - skipped}
         report["stage_s"]["write"] = time.perf_counter() - write_start
         Path(args.stats).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _check_outputs(args)
     paths = sorted(globlib.glob(args.input))
+    _check_outputs(args, paths)
     if not paths:
         print(f"error: no files match {args.input!r}", file=sys.stderr)
         return 2
@@ -283,7 +285,6 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 
 
 def cmd_shape(args: argparse.Namespace) -> int:
-    _check_outputs(args)
     config = ShapingConfig(
         kappa=args.kappa,
         epsilon=args.eps,
@@ -292,6 +293,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
     # EMA baselines evolve in manifest order across the whole run.
     state = EmaState(gamma=args.gamma, literal_zero_init=args.literal_ema_init)
     entries = read_manifest(args.manifest)
+    _check_outputs(args, [args.manifest, *(e.path for e in entries)])
 
     # Rewards and group-relative base advantages, grouped by prompt id.
     rewards = [rule_reward(e.is_correct, e.has_boxed) for e in entries]
@@ -316,18 +318,15 @@ def cmd_shape(args: argparse.Namespace) -> int:
     rows = []
     for entry, reward, a0, values in zip(entries, rewards, base, results):
         head = [Path(entry.path).stem, entry.group, _fmt(reward), _fmt(a0)]
-        if len(values) == 2:  # (error type name, message)
-            if values[0] != TrajectoryTooShort.__name__:
-                raise RankdynError("{}: {}: {}".format(entry.path, *values))
-            # No stride-aligned prefix: shaping is skipped and the EMA is left as is.
+        if len(values) == 2:  # (error type name, message): unshaped, the EMA left as is
+            print("warning: {}: {}: {}".format(entry.path, *values), file=sys.stderr)
             rows.append(head + [""] * 5 + [_fmt(a0)])
             continue
         outcome, state = shape_from_metrics(*values[2:], a0, state, config)
         shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
         rows.append(head + [_fmt(v) for v in shaped])
     report["stage_s"]["shaping"] = time.perf_counter() - shaping_start
-    skipped = report["errors"].get(TrajectoryTooShort.__name__, 0)
-    return _finish(args, SHAPE_HEADER, rows, report, skipped)
+    return _finish(args, SHAPE_HEADER, rows, report)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

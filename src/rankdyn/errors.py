@@ -55,3 +55,7 @@ class GroupTooSmall(RankdynError):
 
 class ManifestError(RankdynError):
     pass
+
+
+class WorkerDied(RankdynError):
+    """A forked metric worker ended with a nonzero exit code."""

@@ -5,7 +5,7 @@ The HSMX trajectory format (little-endian, no padding, no footer)::
     magic   4 bytes  b"HSMX"
     version u32      1
     dtype   u8       0 = f64, 1 = f32
-    kind    u8       0 = Response, 1 = Dataset
+    kind    u8       0 or 1 (a retired response/dataset tag); written as 0
     reserved u16     0
     rows    u64
     cols    u64
@@ -16,7 +16,6 @@ Computation always happens in float64; an f32 payload is widened on load.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,17 +37,11 @@ _HEADER = struct.Struct("<4sIBBHQQ")
 HEADER_SIZE = _HEADER.size  # 28 bytes
 
 
-class MatrixKind(enum.Enum):
-    RESPONSE = 0
-    DATASET = 1
-
-
 @dataclass(frozen=True)
 class HiddenStateMatrix:
-    """A T-by-D (response) or N-by-D (dataset) matrix of hidden states."""
+    """A T-by-D matrix of hidden states."""
 
     data: np.ndarray
-    kind: MatrixKind = MatrixKind.RESPONSE
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -74,9 +67,7 @@ def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64"
     if dtype not in ("f64", "f32"):
         raise ValueError(f"unsupported dtype {dtype!r}")
     flag = 0 if dtype == "f64" else 1
-    header = _HEADER.pack(
-        MAGIC, FORMAT_VERSION, flag, matrix.kind.value, 0, matrix.rows, matrix.cols
-    )
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, flag, 0, 0, matrix.rows, matrix.cols)
     if flag and max(matrix.data.max(), -matrix.data.min()) > np.finfo(np.float32).max:
         raise ValueError("a value is outside the f32 range")
     payload = np.ascontiguousarray(
@@ -123,7 +114,7 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
     flat = np.frombuffer(raw, dtype=np_dtype, count=rows * cols, offset=HEADER_SIZE)
     data = flat.astype(np.float64).reshape(rows, cols)
     try:
-        return HiddenStateMatrix(data, MatrixKind(kind_flag))
+        return HiddenStateMatrix(data)
     except NonFiniteValue:  # the constructor scans; find the offset only on failure
         bad = int(np.flatnonzero(~np.isfinite(flat))[0])
         raise NonFiniteValue("non-finite scalar in payload", HEADER_SIZE + bad * itemsize) from None

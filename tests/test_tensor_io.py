@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankdyn import HiddenStateMatrix, MatrixKind, read_matrix, write_matrix
+from rankdyn import HiddenStateMatrix, read_matrix, write_matrix
 from rankdyn.errors import (
     BadMagic,
     DimensionMismatch,
@@ -23,15 +23,25 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "m.hsmx"
     write_matrix(m, path)
     back = read_matrix(path)
-    assert back.kind is MatrixKind.RESPONSE
     assert back.data.tobytes() == m.data.tobytes()
 
 
-def test_round_trip_dataset_kind(tmp_path):
-    m = HiddenStateMatrix(np.ones((2, 3)), MatrixKind.DATASET)
+def test_a_kind_1_file_still_reads(tmp_path):
+    # Byte 9 once tagged a response (0) or a dataset (1) matrix. Files are
+    # written with 0, both still read, and any other value is rejected there.
+    m = HiddenStateMatrix(np.arange(6.0).reshape(2, 3))
     path = tmp_path / "m.hsmx"
     write_matrix(m, path)
-    assert read_matrix(path).kind is MatrixKind.DATASET
+    raw = bytearray(path.read_bytes())
+    assert raw[9] == 0
+    raw[9] = 1
+    path.write_bytes(raw)
+    assert read_matrix(path).data.tobytes() == m.data.tobytes()
+    raw[9] = 2
+    path.write_bytes(raw)
+    with pytest.raises(UnsupportedVersion) as exc:
+        read_matrix(path)
+    assert exc.value.offset == 9
 
 
 def test_f32_payload_widened(tmp_path):
