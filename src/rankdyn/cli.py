@@ -59,8 +59,8 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
 
     values is (T, D, er, erv, era), or (error type name, message) for any
     Exception, so one bad trajectory costs its row and never the batch: plain
-    values only, as FormatError(message, offset) cannot be unpickled. This is
-    the one place a trajectory's failure becomes a value.
+    values only, as an exception that needs more than its message cannot be
+    unpickled. This is the one place a trajectory's failure becomes a value.
     """
     clock = [time.perf_counter()]
     try:
@@ -183,7 +183,7 @@ def metric_phase(
     no float depends on the worker count; with no known BLAS to pin, all runs
     in-process.
     """
-    from .lapack import eig_kernel, qr_kernels, single_threaded_blas
+    from .lapack import core_name, eig_kernel, qr_kernels, single_threaded_blas
 
     require_stride(stride)
     start = time.perf_counter()
@@ -202,6 +202,7 @@ def metric_phase(
         "engine": engine.value,
         "workers": workers,
         "blas_pinned": pinned,
+        "blas_core": core_name(),
         "qr": qr,
         "eig": eig,
         "metric_phase_s": time.perf_counter() - start,
@@ -212,12 +213,17 @@ def metric_phase(
     return [r[0] for r in results], report
 
 
-def _check_outputs(args: argparse.Namespace, inputs: list[str]) -> None:
-    """Fail before the metric phase, writing nothing, if an output's directory is
-    missing, an output is a directory, --out and --stats are one file, or an
-    output is one of the inputs (the manifest, a trajectory)."""
+def _check_paths(args: argparse.Namespace, trajectories: list[str], *inputs: str) -> None:
+    """Fail before the metric phase, writing nothing, if two trajectory files
+    share a stem (their rows' id), an output's directory is missing or it is a
+    directory, --out and --stats are one file, or an output is an input."""
+    first: dict[str, str] = {}
+    for path in trajectories:
+        other = first.setdefault(Path(path).stem, path)
+        if other != path and Path(other).resolve() != Path(path).resolve():
+            raise ValueError(f"{other} and {path} both have the id {Path(path).stem!r}")
     paths = list(filter(None, (args.out, args.stats)))
-    read = {Path(path).resolve() for path in inputs}
+    read = {Path(path).resolve() for path in [*trajectories, *inputs]}
     for path in paths:
         if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"{path}: no such directory {Path(path).parent}")
@@ -233,7 +239,10 @@ def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]],
             report: dict) -> int:
     """Write the CSV, then the --stats report."""
     write_start = time.perf_counter()
-    _write_csv(args.out, header, rows)
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     if args.stats:
         import json
 
@@ -244,10 +253,9 @@ def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]],
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     paths = sorted(globlib.glob(args.input))
-    _check_outputs(args, paths)
+    _check_paths(args, paths)
     if not paths:
-        print(f"error: no files match {args.input!r}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no files match {args.input!r}")
     results, report = metric_phase(
         paths, args.stride, Centering(args.center), Engine(args.engine), args.fork
     )
@@ -293,7 +301,8 @@ def cmd_shape(args: argparse.Namespace) -> int:
     # EMA baselines evolve in manifest order across the whole run.
     state = EmaState(gamma=args.gamma, literal_zero_init=args.literal_ema_init)
     entries = read_manifest(args.manifest)
-    _check_outputs(args, [args.manifest, *(e.path for e in entries)])
+    paths = [e.path for e in entries]
+    _check_paths(args, paths, args.manifest)
 
     # Rewards and group-relative base advantages, grouped by prompt id.
     rewards = [rule_reward(e.is_correct, e.has_boxed) for e in entries]
@@ -311,8 +320,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
             base[i] = adv
 
     results, report = metric_phase(
-        [e.path for e in entries], args.stride, Centering(args.center), Engine(args.engine),
-        args.fork,
+        paths, args.stride, Centering(args.center), Engine(args.engine), args.fork
     )
     shaping_start = time.perf_counter()
     rows = []
@@ -330,8 +338,8 @@ def cmd_shape(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = [args.suite] if args.suite else None
-    results = verifymod.run_suites(names, seed=args.seed)
+    names = [args.suite] if args.suite else verifymod.SUITES
+    results = {name: verifymod.SUITES[name](args.seed) for name in names}
     failed = 0
     for name, (passed, detail) in results.items():
         status = "pass" if passed else "FAIL"
@@ -339,13 +347,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         failed += not passed
     print(f"overall,{'pass' if failed == 0 else 'FAIL'},{len(results) - failed}/{len(results)}")
     return 0 if failed == 0 else 1
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,10 +6,10 @@ class RankdynError(Exception):
 
 
 class FormatError(RankdynError):
-    """HSMX file format violation, annotated with the offending byte offset."""
+    """HSMX format violation at a byte offset; None for an in-memory matrix."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
 
 

@@ -20,7 +20,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .lapack import eigvalsh
 from .spectral import Centering, summary_from_singular_values
 
@@ -34,20 +33,12 @@ class GramStreamState:
     seen so far."""
 
     def __init__(self, dims: int):
-        self.dims = dims
         self.t = 0
         self.scatter = np.zeros((dims, dims))
         self.row_sum = np.zeros(dims)
 
     def extend(self, chunk: np.ndarray) -> "GramStreamState":
-        """Add a chunk of new rows, in O(b D^2) for b rows."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim != 2 or chunk.shape[1] != self.dims:
-            raise DimensionMismatch(
-                f"chunk of shape {chunk.shape} does not match dims={self.dims}"
-            )
-        if chunk.shape[0] < 1:
-            raise DimensionMismatch("chunk must contain at least one row")
+        """Add b >= 1 new float64 rows of D columns, in O(b D^2)."""
         self.scatter += chunk.T @ chunk
         self.row_sum += chunk.sum(axis=0)
         self.t += chunk.shape[0]

@@ -1,6 +1,6 @@
 """The OpenBLAS that numpy loaded, reached through ctypes on first use, never at
-import: its thread count, the LAPACK QR kernels dgeqrt (recursive, BLAS-3
-panels; Elmroth & Gustavson, IBM J. R&D 2000) and dtpqrt (the triangle-plus-rows
+import: its thread count and kernel set, the LAPACK QR kernels dgeqrt (recursive,
+BLAS-3 panels; Elmroth & Gustavson, IBM J. R&D 2000) and dtpqrt (the triangle-plus-rows
 QR of TSQR; Demmel et al., SISC 2012), which row_factor and fold_rows run, and
 the symmetric eigensolver dsyevd that eigvalsh runs; np.linalg.qr and
 np.linalg.eigvalsh where they are absent. Its symbols carry an optional
@@ -35,6 +35,17 @@ def openblas() -> tuple[ctypes.CDLL, str] | None:
                    for op in ("set", "get")):
                 return lib, spelling
     return None
+
+
+def core_name() -> str | None:
+    """The loaded OpenBLAS's kernel set (openblas_get_corename), or None."""
+    found = openblas()
+    if found is None:
+        return None
+    lib, spelling = found
+    corename = getattr(lib, spelling.format("openblas_get_corename"))
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @contextlib.contextmanager

@@ -50,7 +50,7 @@ class HiddenStateMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"matrix must be at least 1x1, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue("matrix contains NaN/Inf", offset=-1)
+            raise NonFiniteValue("matrix contains NaN/Inf")
         object.__setattr__(self, "data", arr)
 
     @property

@@ -221,9 +221,3 @@ SUITES: dict[str, Callable[[int], tuple[bool, str]]] = {
     "engine-equivalence": suite_engine_equivalence,
     "shaping": suite_shaping,
 }
-
-
-def run_suites(names: list[str] | None = None, seed: int = 0) -> dict[str, tuple[bool, str]]:
-    """Run the named suites, or all of them, at seed; `rankdyn verify --suite`
-    accepts only SUITES' names."""
-    return {name: SUITES[name](seed) for name in names or SUITES}

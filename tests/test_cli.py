@@ -195,6 +195,37 @@ def test_an_output_that_names_an_input_exits_2(tmp_path, capsys, monkeypatch):
     assert {path: path.read_bytes() for path in inputs} == inputs
 
 
+def test_two_files_with_one_stem_exit_2(tmp_path, capsys, monkeypatch):
+    # A row's id is its file's stem, so d/a/t0.hsmx and d/b/t0.hsmx fail before
+    # any trajectory is read. A manifest t0.txt beside t0.hsmx is no trajectory,
+    # and one file listed twice is one trajectory.
+    first, second = tmp_path / "d" / "a" / "t0.hsmx", tmp_path / "d" / "b" / "t0.hsmx"
+    for path in (first, second):
+        path.parent.mkdir(parents=True)
+        write_trajectory(path, 96, 8, seed=0)
+    manifest = tmp_path / "d" / "a" / "t0.txt"
+    manifest.write_text(f"{first},g0,1,1\n{second},g0,0,1\n")
+    reads = []
+    monkeypatch.setattr(cli, "read_matrix", reads.append)
+    out = tmp_path / "o.csv"
+    for argv in [["metrics", "--in", str(tmp_path / "d" / "*" / "t0.hsmx")],
+                 ["shape", "--manifest", str(manifest)]]:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {first} and {second} both have the id 't0'\n"
+    assert reads == [] and not out.exists()
+    monkeypatch.undo()
+    manifest.write_text(f"{first},g0,1,1\n{first},g0,0,1\n")
+    assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8"]) == 0
+    assert [row[0] for row in read_csv(out)[1:]] == ["t0", "t0"]
+
+
+def test_a_glob_with_no_match_exits_2(tmp_path):
+    pattern = tmp_path / "*.hsmx"
+    proc = run_cli("metrics", "--in", pattern, "--out", tmp_path / "m.csv")
+    assert (proc.returncode, proc.stderr) == (2, f"error: no files match {str(pattern)!r}\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
 def make_manifest(tmp_path, n_groups=2, group_size=4, rows=96):
     lines = []
     idx = 0
@@ -281,6 +312,39 @@ def test_shape_short_rollout_skipped_not_fatal(tmp_path):
         )
     shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
     assert rows[3][4:] == [format(v, ".17g") for v in shaped]
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["warm-init", "literal-init"])
+@pytest.mark.parametrize("pre_update", [False, True], ids=["post-update", "pre-update"])
+def test_shape_switches_match_the_library(tmp_path, literal, pre_update):
+    # Each switch combination gives the library's shaping of the same metrics,
+    # and no two combinations give the same CSV.
+    lines = []
+    for i, rows in enumerate([96, 160, 128]):
+        write_trajectory(tmp_path / f"t{i}.hsmx", rows, 8, seed=i)
+        lines.append(f"{tmp_path / f't{i}.hsmx'},g0,{i % 2},1")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    csvs = {}
+    for flags in ([], ["--literal-ema-init"], ["--pre-update-deviation"],
+                  ["--literal-ema-init", "--pre-update-deviation"]):
+        out = tmp_path / f"s{len(csvs)}.csv"
+        assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8",
+                     *flags]) == 0
+        csvs[tuple(flags)] = out.read_bytes()
+    assert len(set(csvs.values())) == 4
+    switches = (["--literal-ema-init"] if literal else []) + (
+        ["--pre-update-deviation"] if pre_update else [])
+    rows = list(csv.reader(csvs[tuple(switches)].decode().splitlines()))[1:]
+    state = EmaState(literal_zero_init=literal)
+    config = ShapingConfig(pre_update_deviation=pre_update)
+    for i, row in enumerate(rows):
+        final_er, series = trajectory_metrics(read_matrix(tmp_path / f"t{i}.hsmx"), 8)
+        outcome, state = shape_from_metrics(
+            final_er, series.velocity, series.acceleration, float(row[3]), state, config
+        )
+        shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
+        assert row[4:] == [format(v, ".17g") for v in shaped]
 
 
 def test_shape_group_size_mismatch(tmp_path):

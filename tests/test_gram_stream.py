@@ -11,7 +11,7 @@ from rankdyn import (
 )
 from rankdyn import lapack
 from rankdyn.dynamics import eval_steps, prefix_eranks
-from rankdyn.errors import DegenerateMatrix, DimensionMismatch
+from rankdyn.errors import DegenerateMatrix
 from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState
 from rankdyn.spectral import shifted, summary_from_singular_values
 from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
@@ -31,14 +31,6 @@ def test_two_chunks_match_dense_product():
     state.extend(data[:2]).extend(data[2:])
     np.testing.assert_allclose(state.scatter, data.T @ data, atol=1e-12)
     assert state.t == 4
-
-
-def test_extend_dimension_mismatch():
-    state = GramStreamState(3)
-    with pytest.raises(DimensionMismatch):
-        state.extend(np.ones((2, 4)))
-    with pytest.raises(DimensionMismatch):
-        state.extend(np.ones((0, 3)))
 
 
 def test_gram_entries_are_inner_products():

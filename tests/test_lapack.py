@@ -1,9 +1,16 @@
+import csv
 import ctypes
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankdyn import lapack
+from rankdyn import lapack, write_matrix
 from rankdyn.dynamics import Engine, eval_steps, prefix_eranks
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
@@ -89,3 +96,92 @@ def test_eigvalsh_reads_numpys_triangle_bit_for_bit(monkeypatch):
     assert np.array_equal(fallback, want)
     with pytest.raises(ctypes.ArgumentError):  # in C order dsyevd would read the other triangle
         lapack.eigvalsh(a)
+
+
+def dynamic_arch_openblas() -> bool:
+    """Whether numpy runs an x86-64 OpenBLAS built to pick its kernel set at
+    load time, which OPENBLAS_CORETYPE can then force."""
+    if sys.platform != "linux" or platform.machine() != "x86_64" or lapack.openblas() is None:
+        return False
+    lib, spelling = lapack.openblas()
+    config = getattr(lib, spelling.format("openblas_get_config"))
+    config.restype = ctypes.c_char_p
+    return b"DYNAMIC_ARCH" in config()
+
+
+def cpu_flags() -> set[str]:
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+# OPENBLAS_CORETYPE: (the set that loads, the /proc/cpuinfo flags it needs).
+KERNEL_SETS = {
+    "SkylakeX": ("SkylakeX", {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"}),
+    "Haswell": ("Haswell", {"avx2", "fma"}),
+    "Sandybridge": ("Sandybridge", {"avx"}),
+    "Nehalem": ("Nehalem", {"sse4_2"}),
+    "Prescott": ("Katmai", {"pni"}),
+}
+# The metrics command on both engines and centerings: argv is the batch glob and
+# the output directory.
+METRICS_RUNS = """
+import sys
+from rankdyn.cli import main
+for engine in ("naive", "incremental"):
+    for center in ("raw", "rowmean"):
+        out = f"{sys.argv[2]}/{engine}-{center}"
+        main(["metrics", "--in", sys.argv[1], "--out", out + ".csv", "--stats", out + ".json",
+              "--stride", "16", "--engine", engine, "--center", center])
+"""
+
+
+def metrics_under(coretype, batch, out):
+    """{(engine, center): (CSV rows by id, --stats report)} of METRICS_RUNS in a
+    child process under OPENBLAS_CORETYPE=coretype, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype  # read when numpy loads OpenBLAS
+    out.mkdir()
+    proc = subprocess.run([sys.executable, "-c", METRICS_RUNS, str(batch), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs = {}
+    for engine in ("naive", "incremental"):
+        for center in ("raw", "rowmean"):
+            rows = list(csv.reader((out / f"{engine}-{center}.csv").read_text().splitlines()))
+            report = json.loads((out / f"{engine}-{center}.json").read_text())
+            runs[engine, center] = ({row[0]: row for row in rows[1:]}, report)
+    return runs
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="no x86-64 DYNAMIC_ARCH OpenBLAS")
+def test_bytes_hold_per_kernel_set_and_bounds_across_sets(tmp_path):
+    # One kernel set gives the same bytes; another rounds differently, within
+    # 1e-13 of the row's er on the naive engine, and within the incremental
+    # engine's 1e-8 bound on the fixtures whose prefixes all have cond < 1e6.
+    for fixture in ("gaussian", "low-rank", "power-law", "offset", "massive"):
+        write_matrix(hard_fixture(fixture, 200, 48, seed=1), tmp_path / f"{fixture}.hsmx")
+    batch = tmp_path / "*.hsmx"
+    default = metrics_under(None, batch, tmp_path / "default")
+    flags = cpu_flags()
+    sets = [name for name, (_, needs) in KERNEL_SETS.items() if needs <= flags]
+    assert sets
+    for coretype in sets:
+        runs = metrics_under(coretype, batch, tmp_path / coretype)
+        core = KERNEL_SETS[coretype][0]
+        for (engine, center), (rows, report) in runs.items():
+            want, want_report = default[engine, center]
+            assert report["blas_core"] == core
+            if want_report["blas_core"] == core:
+                assert rows == want
+            bound = {"naive": 1e-13, "incremental": 1e-8}[engine]
+            for ident, row in rows.items():
+                assert row[:3] + row[6:] == want[ident][:3] + want[ident][6:]
+                held = engine == "naive" or ident in ("gaussian", "low-rank", "massive")
+                if held and not row[6]:
+                    drift = np.abs(np.array(row[3:6], float) - np.array(want[ident][3:6], float))
+                    assert drift.max() <= bound * float(want[ident][3]), (coretype, engine, ident)

@@ -137,6 +137,13 @@ def test_non_finite_payload(tmp_path):
     assert exc.value.offset == HEADER_SIZE + 8
 
 
+def test_in_memory_non_finite_names_no_offset():
+    with pytest.raises(NonFiniteValue) as exc:
+        HiddenStateMatrix([[1.0, np.nan]])
+    assert str(exc.value) == "matrix contains NaN/Inf"
+    assert exc.value.offset is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     rows=st.integers(1, 12),
