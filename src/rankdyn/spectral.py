@@ -49,7 +49,12 @@ def shifted(data: np.ndarray, steps: Sequence[int], centering: Centering) -> np.
     """Centered mode: data less one shift row, the mean of its first eval
     prefix data[:steps[0]]. Centering ignores a common shift, and removing a
     large offset before any product keeps the rounding relative to the spread
-    of the rows, not to the offset. Raw mode: data unchanged."""
+    of the rows, not to the offset. Raw mode: data unchanged. Both modes first
+    scale a peak |value| outside [2^-400, 2^400], where Gram squares and sums
+    near the f64 limits, into [1/2, 1) by an exact power of two (ER is scale-free)."""
+    peak = max(data.max(), -data.min())
+    if not 2.0**-400 <= peak <= 2.0**400:
+        data = np.ldexp(data, -np.frexp(peak)[1])
     if centering is Centering.RAW:
         return data
     return data - data[: steps[0]].mean(axis=0)

@@ -129,14 +129,6 @@ def prefix_spectra(
     return [spectral_summary(HiddenStateMatrix(data[:t]), centering) for t in ends]
 
 
-def prefix_svd_oracle(
-    matrix: HiddenStateMatrix, stride: int, centering: Centering = Centering.RAW
-) -> np.ndarray:
-    """Effective rank of every stride-aligned prefix and then of all T rows:
-    the engines' reference."""
-    return np.array([s.effective_rank for s in prefix_spectra(matrix, stride, centering)])
-
-
 # Per engine, the relative drift from the oracle that it is held to, on the
 # prefixes whose condition number is below a limit. The Gram engine squares
 # the condition number, so it is held only below GRAM_CONDITION_LIMIT.
@@ -147,17 +139,20 @@ ENGINE_BOUNDS = {
 }
 
 
-def engine_drift(
-    matrix: HiddenStateMatrix, stride: int, centering: Centering, engine: Engine
-) -> float:
-    """Largest relative drift of an engine's values, the prefixes' and the
-    final one, from the oracle, over the prefixes that ENGINE_BOUNDS holds it on."""
+def engine_drifts(
+    matrix: HiddenStateMatrix, stride: int, centering: Centering
+) -> dict[Engine, float]:
+    """Per engine, the largest relative drift of its prefix and final values
+    from one oracle pass, over the prefixes that ENGINE_BOUNDS holds it on."""
     spectra = prefix_spectra(matrix, stride, centering)
     oracle = np.array([s.effective_rank for s in spectra])
-    series = prefix_metric_series(matrix, stride, centering, engine)
-    rel = np.abs([*series.prefix_values, series.final] - oracle) / oracle
     conditions = np.array([s.singular_values[0] / s.singular_values[-1] for s in spectra])
-    return float(rel[conditions < ENGINE_BOUNDS[engine][1]].max(initial=0.0))
+    drifts = {}
+    for engine, (_, limit) in ENGINE_BOUNDS.items():
+        series = prefix_metric_series(matrix, stride, centering, engine)
+        rel = np.abs([*series.prefix_values, series.final] - oracle) / oracle
+        drifts[engine] = float(rel[conditions < limit].max(initial=0.0))
+    return drifts
 
 
 def suite_engine_equivalence(seed: int) -> tuple[bool, str]:
@@ -175,9 +170,8 @@ def suite_engine_equivalence(seed: int) -> tuple[bool, str]:
         t = int(rng.integers(max(stride + 2, 8), 257))
         d = int(rng.integers(2, 65))
         matrix = hard_fixture(fixture, t, d, seed + i)
-        for engine, (bound, _) in ENGINE_BOUNDS.items():
-            rel = engine_drift(matrix, stride, centering, engine)
-            if rel > bound:
+        for engine, rel in engine_drifts(matrix, stride, centering).items():
+            if rel > ENGINE_BOUNDS[engine][0]:
                 return False, f"{engine.value} engine off by {rel:.2e} on {fixture} at sample {i}"
     return True, f"{count} trajectories checked"
 

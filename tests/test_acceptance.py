@@ -23,7 +23,7 @@ from rankdyn import (
     rule_reward,
     shape_from_metrics,
 )
-from rankdyn.verify import SUITES, hard_fixture, prefix_svd_oracle
+from rankdyn.verify import SUITES, hard_fixture, prefix_spectra
 from test_cli import run_cli  # the CLI in a child process, with a timeout
 
 
@@ -95,7 +95,7 @@ def test_05_construction_complexity():
         for m in matrices
     ]
     # The sizes and the oracle take turns in every round, so a change in load hits all four.
-    *seconds, oracle = median_seconds(*runs, lambda: prefix_svd_oracle(matrices[-1], stride))
+    *seconds, oracle = median_seconds(*runs, lambda: prefix_spectra(matrices[-1], stride))
     speedup = oracle / seconds[-1]
     assert speedup >= 5.0
     r2 = linear_fit_r2(sizes, seconds)

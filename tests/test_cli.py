@@ -16,6 +16,7 @@ from rankdyn import (
     EmaState,
     HiddenStateMatrix,
     ShapingConfig,
+    prefix_metric_series,
     read_matrix,
     shape_from_metrics,
     trajectory_metrics,
@@ -120,18 +121,33 @@ def test_all_zero_trajectory_writes_one_error_on_both_engines(tmp_path, center):
     assert errors == ["DegenerateMatrix: all singular values vanish"] * 2
 
 
+def test_metrics_runs_an_f64_file_past_the_gram_range(tmp_path):
+    # Scaled by 2^600, the Gram engine's squares would overflow f64.
+    matrix = verify.hard_fixture("gaussian", 120, 16, seed=0)
+    write_matrix(HiddenStateMatrix(np.ldexp(matrix.data, 600)), tmp_path / "t.hsmx")
+    out = tmp_path / "m.csv"
+    proc = run_cli("metrics", "--in", tmp_path / "t.hsmx", "--out", out, "--engine", "incremental")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    row = read_csv(out)[1]
+    assert row[6] == ""
+    want = prefix_metric_series(matrix, engine=Engine.INCREMENTAL_GRAM).final
+    assert abs(float(row[3]) - want) <= 1e-8 * want
+
+
 def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
     missing = tmp_path / "gone" / "x"
     manifest = tmp_path / "m.txt"
     manifest.write_text(f"{tmp_path / 'a.hsmx'},g0,1,1\n{missing},g0,0,1\n")
+    comments = tmp_path / "c.txt"
+    comments.write_text("# no records\n\n# here\n")
     metrics = ["metrics", "--in", str(tmp_path / "a.hsmx")]
     assert main(["shape", "--manifest", str(missing), "--out", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     # An output in a missing directory, an output that is a directory, --out
-    # and --stats naming one file, and a non-finite --eps all fail before the
-    # metric phase runs.
+    # and --stats naming one file, a non-finite --eps, a --gamma of 1 and a
+    # manifest of comments only all fail before the metric phase runs.
     monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
     folder = tmp_path / "d"
     folder.mkdir()
@@ -145,6 +161,10 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
         (metrics + out + ["--stats", str(folder)], f"{folder}: is a directory"),
         (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv"), "--eps", "nan"],
          "epsilon must be positive and finite"),
+        (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv"), "--gamma", "1"],
+         "gamma must lie in (0, 1)"),
+        (["shape", "--manifest", str(comments), "--out", str(tmp_path / "s.csv")],
+         f"{comments}: manifest holds no records"),
     ]:
         assert main(argv) == 2
         err = capsys.readouterr().err

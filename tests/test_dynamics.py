@@ -11,10 +11,11 @@ from rankdyn import (
     second_order_difference,
     trajectory_metrics,
 )
+from rankdyn import verify
 from rankdyn.dynamics import eval_steps, instantaneous_deltas, series_from_values
 from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TrajectoryTooShort
 from rankdyn.spectral import Centering
-from rankdyn.verify import FIXTURES, engine_drift, hard_fixture, prefix_svd_oracle
+from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture, prefix_spectra
 
 
 def test_eval_step_arithmetic():
@@ -141,9 +142,9 @@ ORACLE_CASES = [
 def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
     rows, dims, stride = shape
     matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
-    assert engine_drift(matrix, stride, centering, Engine.FACTOR) <= 1e-12
+    assert engine_drifts(matrix, stride, centering)[Engine.FACTOR] <= 1e-12
     series = prefix_metric_series(matrix, stride, centering)
-    *oracle, final = prefix_svd_oracle(matrix, stride, centering)
+    *oracle, final = [s.effective_rank for s in prefix_spectra(matrix, stride, centering)]
     expected = series_from_values(oracle, eval_steps(rows, stride, centering), final)
     assert series.eval_steps == expected.eval_steps
     scale = max(oracle)
@@ -152,6 +153,41 @@ def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
         assert (got is None) == (want is None)
         if want is not None:
             assert abs(got - want) <= 1e-10 * scale
+
+
+def test_engine_drifts_runs_one_oracle_pass(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prefix_spectra(*args)
+
+    monkeypatch.setattr(verify, "prefix_spectra", counted)
+    drifts = engine_drifts(hard_fixture("gaussian", 50, 8, seed=0), 8, Centering.RAW)
+    assert len(calls) == 1
+    assert set(drifts) == set(Engine)
+
+
+# Scales from 2^-1000 up to a peak of about 1.5e308 (the matrix's largest
+# |value| is about 3.9). Unscaled, the Gram engine's squares underflow below
+# about 1e-160 and overflow above about 1e153, and near the f64 maximum the
+# factor engine fails too.
+SCALES = [2.0**-1000, 1e-170, 1e-160, 1e153, 1e160, 1e200, 2.0**600, 4e307]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("engine,bound", [(Engine.FACTOR, 1e-12), (Engine.INCREMENTAL_GRAM, 1e-8)])
+@pytest.mark.parametrize("centering", Centering)
+@pytest.mark.parametrize("scale", SCALES, ids=lambda scale: f"{scale:.2g}")
+def test_extreme_magnitudes_keep_the_series(engine, bound, centering, scale):
+    # Held to the unscaled matrix's series, not to the oracle, which shares
+    # the rescaling in spectral.shifted.
+    matrix = hard_fixture("gaussian", 120, 16, seed=0)
+    got = prefix_metric_series(HiddenStateMatrix(matrix.data * scale), 40, centering, engine)
+    want = prefix_metric_series(matrix, 40, centering, engine)
+    np.testing.assert_allclose(
+        [*got.prefix_values, got.final], [*want.prefix_values, want.final], rtol=bound, atol=0
+    )
 
 
 def test_factor_engine_errors():

@@ -14,7 +14,7 @@ from rankdyn.dynamics import eval_steps, prefix_eranks
 from rankdyn.errors import DegenerateMatrix
 from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState
 from rankdyn.spectral import shifted, summary_from_singular_values
-from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
+from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture
 
 
 def test_first_chunk_is_direct_product():
@@ -113,7 +113,7 @@ def assert_gram_matches_oracle(stride, centering):
         for rows, dims in SHAPES:
             rows = max(rows, stride * 3 + 1)
             matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
-            drift = engine_drift(matrix, stride, centering, Engine.INCREMENTAL_GRAM)
+            drift = engine_drifts(matrix, stride, centering)[Engine.INCREMENTAL_GRAM]
             assert drift <= 1e-8, (fixture, rows, dims, drift)
 
 

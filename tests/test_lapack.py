@@ -13,7 +13,7 @@ import pytest
 from rankdyn import lapack, write_matrix
 from rankdyn.dynamics import Engine, eval_steps, prefix_eranks
 from rankdyn.spectral import Centering
-from rankdyn.verify import FIXTURES, engine_drift, hard_fixture
+from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture
 
 # (T, D, stride): T < D, T = D and T > D, at stride 1 and at strides that
 # leave a tail, so both kernels and the numpy fallback see every branch.
@@ -61,9 +61,9 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
         monkeypatch, lambda: prefix_eranks(matrix.data, steps, centering, Engine.FACTOR)
     )
     np.testing.assert_allclose(kernel, fallback, rtol=1e-12, atol=0)
-    drift = engine_drift(matrix, stride, centering, Engine.FACTOR)
+    drift = engine_drifts(matrix, stride, centering)[Engine.FACTOR]
     fallback_drift = without_kernels(
-        monkeypatch, lambda: engine_drift(matrix, stride, centering, Engine.FACTOR)
+        monkeypatch, lambda: engine_drifts(matrix, stride, centering)[Engine.FACTOR]
     )
     assert max(drift, fallback_drift) <= 1e-12
 

@@ -67,6 +67,14 @@ def test_ema_state_is_immutable():
     assert updated.means["er"] == 2.0 and updated.observations["er"] == 1
 
 
+def test_ema_update_rejects_an_unknown_metric_or_a_nonfinite_observation():
+    with pytest.raises(KeyError, match="unknown metric 'loss'"):
+        ema_update(EmaState(), "loss", 1.0)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="EMA observation must be finite"):
+            ema_update(EmaState(), "er", m)
+
+
 def test_dynamic_weights():
     beta, w0, w1 = dynamic_weights(0.0)
     assert (beta, w0, w1) == (0.5, 0.5, 0.5)

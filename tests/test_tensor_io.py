@@ -61,6 +61,13 @@ def test_f32_write_rejects_a_value_outside_its_range(tmp_path, value):
     assert not path.exists()
 
 
+def test_write_rejects_an_unknown_dtype(tmp_path):
+    path = tmp_path / "m.hsmx"
+    with pytest.raises(ValueError, match="unsupported dtype 'f16'"):
+        write_matrix(HiddenStateMatrix(np.ones((2, 2))), path, dtype="f16")
+    assert not path.exists()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.hsmx"
     write_matrix(HiddenStateMatrix(np.ones((2, 2))), path)
@@ -78,8 +85,15 @@ def test_unsupported_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(raw)
-    with pytest.raises(UnsupportedVersion):
+    with pytest.raises(UnsupportedVersion) as exc:
         read_matrix(path)
+    assert exc.value.offset == 4
+    raw[4] = 1
+    raw[8] = 7  # the dtype flag
+    path.write_bytes(raw)
+    with pytest.raises(UnsupportedVersion) as exc:
+        read_matrix(path)
+    assert exc.value.offset == 8
 
 
 def test_truncated_payload(tmp_path):
@@ -89,6 +103,10 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(raw[: HEADER_SIZE + 15 * 8])  # 15 of 16 scalars
     with pytest.raises(TruncatedPayload):
         read_matrix(path)
+    path.write_bytes(raw[:20])  # inside the header
+    with pytest.raises(TruncatedPayload) as exc:
+        read_matrix(path)
+    assert exc.value.offset == 20
 
 
 def test_trailing_bytes_rejected(tmp_path):
