@@ -4,9 +4,8 @@ from .dynamics import (
     DEFAULT_STRIDE,
     Engine,
     MetricSeries,
-    first_order_difference,
+    differences,
     prefix_metric_series,
-    second_order_difference,
     trajectory_metrics,
 )
 from .gram_stream import erank_from_gram

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram_stream
-from .errors import SeriesTooShort, TrajectoryTooShort
+from .errors import TrajectoryTooShort
 from .lapack import fold_rows, row_factor
 from .spectral import Centering, center, shifted, summary_from_singular_values
 from .spectral import effective_rank  # noqa: F401  still hooked by this name in perfbench/
@@ -65,41 +65,15 @@ def eval_steps(rows: int, stride: int, centering: Centering = Centering.RAW) -> 
     return steps
 
 
-def instantaneous_deltas(values: np.ndarray) -> np.ndarray:
-    """delta_j = m_j - running mean of m_1..m_{j-1}, for j = 2..K."""
+def differences(values: np.ndarray) -> tuple[float | None, float | None]:
+    """(velocity, acceleration) of a prefix series, each None where undefined."""
     values = np.asarray(values, dtype=np.float64)
     k = values.size
     if k < 2:
-        return np.empty(0)
-    running_means = np.cumsum(values[:-1]) / np.arange(1, k)
-    return values[1:] - running_means
-
-
-def first_order_difference(prefix_values: np.ndarray) -> float:
-    """Mean of the instantaneous deltas (the series' velocity)."""
-    deltas = instantaneous_deltas(prefix_values)
-    if deltas.size < 1:
-        raise SeriesTooShort("velocity needs at least 2 prefix values")
-    return float(deltas.mean())
-
-
-def second_order_difference(prefix_values: np.ndarray) -> float:
-    """Mean change between consecutive deltas (the series' acceleration)."""
-    deltas = instantaneous_deltas(prefix_values)
-    if deltas.size < 2:
-        raise SeriesTooShort("acceleration needs at least 3 prefix values")
-    return float(np.diff(deltas).mean())
-
-
-def series_from_values(values: np.ndarray, steps: list[int], final: float) -> MetricSeries:
-    values = np.asarray(values, dtype=np.float64)
-    return MetricSeries(
-        eval_steps=tuple(steps),
-        prefix_values=values,
-        velocity=first_order_difference(values) if values.size >= 2 else None,
-        acceleration=second_order_difference(values) if values.size >= 3 else None,
-        final=float(final),
-    )
+        return None, None
+    deltas = values[1:] - np.cumsum(values[:-1]) / np.arange(1, k)
+    acceleration = float(np.diff(deltas).mean()) if k >= 3 else None
+    return float(deltas.mean()), acceleration
 
 
 def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iterator[np.ndarray]:
@@ -169,7 +143,14 @@ def prefix_metric_series(
     effective rank of all T rows."""
     steps = eval_steps(matrix.rows, stride, centering)
     *values, final = prefix_eranks(matrix.data, steps, centering, engine)
-    return series_from_values(values, steps, final)
+    velocity, acceleration = differences(values)
+    return MetricSeries(
+        eval_steps=tuple(steps),
+        prefix_values=np.array(values),
+        velocity=velocity,
+        acceleration=acceleration,
+        final=float(final),
+    )
 
 
 def trajectory_metrics(

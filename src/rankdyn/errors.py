@@ -41,10 +41,6 @@ class TrajectoryTooShort(RankdynError):
     pass
 
 
-class SeriesTooShort(RankdynError):
-    pass
-
-
 class TooFewRows(RankdynError):
     pass
 

@@ -45,16 +45,22 @@ def center(data: np.ndarray, centering: Centering) -> np.ndarray:
     return data - data.mean(axis=0, keepdims=True)
 
 
-def shifted(data: np.ndarray, steps: Sequence[int], centering: Centering) -> np.ndarray:
-    """Centered mode: data less one shift row, the mean of its first eval
-    prefix data[:steps[0]]. Centering ignores a common shift, and removing a
-    large offset before any product keeps the rounding relative to the spread
-    of the rows, not to the offset. Raw mode: data unchanged. Both modes first
-    scale a peak |value| outside [2^-400, 2^400], where Gram squares and sums
-    near the f64 limits, into [1/2, 1) by an exact power of two (ER is scale-free)."""
+def rescaled(data: np.ndarray) -> np.ndarray:
+    """data, unless its peak |value| lies outside [2^-400, 2^400], where Gram
+    squares and sums near the f64 limits: then data scaled into [1/2, 1) by
+    an exact power of two (ER is scale-free)."""
     peak = max(data.max(), -data.min())
-    if not 2.0**-400 <= peak <= 2.0**400:
-        data = np.ldexp(data, -np.frexp(peak)[1])
+    if 2.0**-400 <= peak <= 2.0**400:
+        return data
+    return np.ldexp(data, -np.frexp(peak)[1])
+
+
+def shifted(data: np.ndarray, steps: Sequence[int], centering: Centering) -> np.ndarray:
+    """Centered mode: `rescaled` data less one shift row, the mean of its
+    first eval prefix data[:steps[0]]. Centering ignores a common shift, and
+    removing a large offset before any product keeps the rounding relative to
+    the spread of the rows, not to the offset. Raw mode: `rescaled` data."""
+    data = rescaled(data)
     if centering is Centering.RAW:
         return data
     return data - data[: steps[0]].mean(axis=0)
@@ -81,8 +87,9 @@ def summary_from_singular_values(sigma: np.ndarray) -> SpectralSummary:
 def spectral_summary(
     matrix: HiddenStateMatrix, centering: Centering = Centering.RAW
 ) -> SpectralSummary:
-    """Thin-SVD spectral summary of the (optionally centered) matrix."""
-    data = center(matrix.data, centering)
+    """Thin-SVD spectral summary of the (optionally centered) matrix, of any
+    finite magnitude: it is `rescaled` before centering."""
+    data = center(rescaled(matrix.data), centering)
     sigma = np.linalg.svd(data, compute_uv=False)
     return summary_from_singular_values(sigma)
 

@@ -63,7 +63,8 @@ class HiddenStateMatrix:
 
 
 def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64") -> None:
-    """Serialize a matrix to the HSMX format. dtype is 'f64', or 'f32' if every value fits."""
+    """Serialize a matrix to the HSMX format. dtype is 'f64', or 'f32' if every
+    value fits: none above the f32 range, and no nonzero one that f32 rounds to zero."""
     if dtype not in ("f64", "f32"):
         raise ValueError(f"unsupported dtype {dtype!r}")
     flag = 0 if dtype == "f64" else 1
@@ -73,6 +74,8 @@ def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64"
     payload = np.ascontiguousarray(
         matrix.data, dtype=np.float64 if flag == 0 else np.float32
     )
+    if flag and np.count_nonzero(payload) < np.count_nonzero(matrix.data):
+        raise ValueError("a nonzero value underflows to zero in f32")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())

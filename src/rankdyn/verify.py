@@ -14,13 +14,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .dynamics import (
-    Engine,
-    eval_steps,
-    first_order_difference,
-    prefix_metric_series,
-    second_order_difference,
-)
+from .dynamics import Engine, differences, eval_steps, prefix_metric_series
 from .shaping import auxiliary_advantage, dynamic_weights, shape_advantage
 from .spectral import Centering, SpectralSummary, shifted, spectral_summary
 from .tensor_io import HiddenStateMatrix
@@ -76,8 +70,7 @@ def suite_closed_forms(seed: int) -> tuple[bool, str]:
     series are fixed, so the seed is unused."""
     for n in (3, 10, 100, 1000):
         series = np.arange(1, n + 1, dtype=np.float64)
-        v = first_order_difference(series)
-        a = second_order_difference(series)
+        v, a = differences(series)
         if not math.isclose(v, (n + 2) / 4, rel_tol=1e-13):
             return False, f"velocity {v} != {(n + 2) / 4} at N={n}"
         if not math.isclose(a, 0.5, rel_tol=1e-13):

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from rankdyn import (
     Engine,
     HiddenStateMatrix,
-    first_order_difference,
+    differences,
+    effective_rank,
     prefix_metric_series,
-    second_order_difference,
     trajectory_metrics,
 )
 from rankdyn import verify
-from rankdyn.dynamics import eval_steps, instantaneous_deltas, series_from_values
-from rankdyn.errors import DegenerateMatrix, SeriesTooShort, TrajectoryTooShort
+from rankdyn.dynamics import eval_steps
+from rankdyn.errors import DegenerateMatrix, TrajectoryTooShort
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture, prefix_spectra
 
@@ -32,49 +32,40 @@ def test_eval_step_arithmetic():
         eval_steps(2, 1, Centering.ROW_MEAN_CENTERED)
 
 
-def test_deltas_by_recomputation():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal(12)
-    deltas = instantaneous_deltas(values)
-    for j in range(2, 13):
-        expected = values[j - 1] - values[: j - 1].mean()
-        assert abs(deltas[j - 2] - expected) < 1e-10
+def loop_differences(values):
+    """ERV and ERA recomputed from the definition, one delta at a time."""
+    deltas = [values[j] - sum(values[:j]) / j for j in range(1, len(values))]
+    velocity = sum(deltas) / len(deltas) if len(deltas) >= 1 else None
+    steps = [b - a for a, b in zip(deltas, deltas[1:])]
+    acceleration = sum(steps) / len(steps) if len(steps) >= 1 else None
+    return velocity, acceleration
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_differences_match_a_loop(k):
+    values = np.random.default_rng(k).standard_normal(k)
+    got = differences(values)
+    want = loop_differences(list(values))
+    assert [g is None for g in got] == [w is None for w in want] == [k < 2, k < 3]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert type(g) is float and abs(g - w) < 1e-12
 
 
 def test_first_order_hand_example():
-    deltas = instantaneous_deltas(np.array([2.0, 3.0, 5.0]))
-    np.testing.assert_allclose(deltas, [1.0, 2.5])
-    assert first_order_difference(np.array([2.0, 3.0, 5.0])) == pytest.approx(1.75)
+    # deltas [1, 2.5]
+    assert differences([2.0, 3.0, 5.0])[0] == pytest.approx(1.75)
 
 
 def test_second_order_hand_example():
-    m = np.array([2.0, 3.0, 5.0, 6.0])
-    deltas = instantaneous_deltas(m)
-    np.testing.assert_allclose(deltas, [1.0, 2.5, 8.0 / 3.0])
-    assert second_order_difference(m) == pytest.approx(5.0 / 6.0)
+    # deltas [1, 2.5, 8/3]
+    assert differences([2.0, 3.0, 5.0, 6.0])[1] == pytest.approx(5.0 / 6.0)
 
 
 def test_constant_series_is_flat():
-    m = np.full(8, 3.7)
-    assert first_order_difference(m) == pytest.approx(0.0, abs=1e-15)
-    assert second_order_difference(m) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_series_too_short():
-    with pytest.raises(SeriesTooShort):
-        first_order_difference(np.array([1.0]))
-    with pytest.raises(SeriesTooShort):
-        second_order_difference(np.array([1.0, 2.0]))
-
-
-def test_definedness_rules():
-    one = series_from_values(np.array([1.0]), [1], 2.0)
-    assert instantaneous_deltas(one.prefix_values).size == 0
-    assert one.velocity is None and one.acceleration is None
-    two = series_from_values(np.array([1.0, 2.0]), [1, 2], 3.0)
-    assert two.velocity is not None and two.acceleration is None
-    three = series_from_values(np.array([1.0, 2.0, 4.0]), [1, 2, 3], 5.0)
-    assert three.velocity is not None and three.acceleration is not None
+    velocity, acceleration = differences(np.full(8, 3.7))
+    assert velocity == pytest.approx(0.0, abs=1e-15)
+    assert acceleration == pytest.approx(0.0, abs=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,12 +77,8 @@ def test_definedness_rules():
 def test_constant_offset_invariance(seed, offset, size):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal(size)
-    assert abs(
-        first_order_difference(m + offset) - first_order_difference(m)
-    ) < 1e-10
-    assert abs(
-        second_order_difference(m + offset) - second_order_difference(m)
-    ) < 1e-10
+    for shifted, plain in zip(differences(m + offset), differences(m)):
+        assert abs(shifted - plain) < 1e-10
 
 
 def test_constant_metric_trajectory():
@@ -99,7 +86,6 @@ def test_constant_metric_trajectory():
     data = np.tile(np.array([[1.0, 2.0, 3.0]]), (12, 1))
     series = prefix_metric_series(HiddenStateMatrix(data), stride=2)
     np.testing.assert_allclose(series.prefix_values, 1.0)
-    np.testing.assert_allclose(instantaneous_deltas(series.prefix_values), 0.0, atol=1e-12)
     assert series.velocity == pytest.approx(0.0, abs=1e-12)
     assert series.acceleration == pytest.approx(0.0, abs=1e-12)
 
@@ -145,11 +131,9 @@ def test_factor_engine_matches_svd_oracle(fixture, shape, centering):
     assert engine_drifts(matrix, stride, centering)[Engine.FACTOR] <= 1e-12
     series = prefix_metric_series(matrix, stride, centering)
     *oracle, final = [s.effective_rank for s in prefix_spectra(matrix, stride, centering)]
-    expected = series_from_values(oracle, eval_steps(rows, stride, centering), final)
-    assert series.eval_steps == expected.eval_steps
+    assert series.eval_steps == tuple(eval_steps(rows, stride, centering))
     scale = max(oracle)
-    pairs = [(series.velocity, expected.velocity), (series.acceleration, expected.acceleration)]
-    for got, want in pairs:
+    for got, want in zip((series.velocity, series.acceleration), differences(oracle)):
         assert (got is None) == (want is None)
         if want is not None:
             assert abs(got - want) <= 1e-10 * scale
@@ -171,23 +155,36 @@ def test_engine_drifts_runs_one_oracle_pass(monkeypatch):
 # Scales from 2^-1000 up to a peak of about 1.5e308 (the matrix's largest
 # |value| is about 3.9). Unscaled, the Gram engine's squares underflow below
 # about 1e-160 and overflow above about 1e153, and near the f64 maximum the
-# factor engine fails too.
+# factor engine and the whole-matrix SVD fail too.
 SCALES = [2.0**-1000, 1e-170, 1e-160, 1e153, 1e160, 1e200, 2.0**600, 4e307]
 
 
+def er_values(matrix, centering, engine):
+    """The prefix and final ERs of the series, or with no engine, effective_rank."""
+    if engine is None:
+        return [effective_rank(matrix, centering)]
+    series = prefix_metric_series(matrix, 40, centering, engine)
+    return [*series.prefix_values, series.final]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("engine,bound", [(Engine.FACTOR, 1e-12), (Engine.INCREMENTAL_GRAM, 1e-8)])
+@pytest.mark.parametrize(
+    "engine,bound",
+    [
+        (Engine.FACTOR, 1e-12),
+        (Engine.INCREMENTAL_GRAM, 1e-8),
+        pytest.param(None, 1e-12, id="effective_rank"),
+    ],
+)
 @pytest.mark.parametrize("centering", Centering)
 @pytest.mark.parametrize("scale", SCALES, ids=lambda scale: f"{scale:.2g}")
 def test_extreme_magnitudes_keep_the_series(engine, bound, centering, scale):
-    # Held to the unscaled matrix's series, not to the oracle, which shares
-    # the rescaling in spectral.shifted.
+    # Held to the unscaled matrix's values, not to the oracle, which shares
+    # the rescaling in spectral.rescaled.
     matrix = hard_fixture("gaussian", 120, 16, seed=0)
-    got = prefix_metric_series(HiddenStateMatrix(matrix.data * scale), 40, centering, engine)
-    want = prefix_metric_series(matrix, 40, centering, engine)
-    np.testing.assert_allclose(
-        [*got.prefix_values, got.final], [*want.prefix_values, want.final], rtol=bound, atol=0
-    )
+    got = er_values(HiddenStateMatrix(matrix.data * scale), centering, engine)
+    want = er_values(matrix, centering, engine)
+    np.testing.assert_allclose(got, want, rtol=bound, atol=0)
 
 
 def test_factor_engine_errors():

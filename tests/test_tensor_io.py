@@ -61,6 +61,32 @@ def test_f32_write_rejects_a_value_outside_its_range(tmp_path, value):
     assert not path.exists()
 
 
+# f32 rounds |x| <= 2^-150 to zero and |x| just above it up to its smallest
+# subnormal, 2^-149.
+@pytest.mark.parametrize("value", [1e-50, -1e-50, 2.0**-150, -(2.0**-150)])
+def test_f32_write_rejects_a_nonzero_value_that_underflows(tmp_path, value):
+    path = tmp_path / "m.hsmx"
+    with pytest.raises(ValueError, match="underflows to zero in f32"):
+        write_matrix(HiddenStateMatrix(np.array([[1.0, value]])), path, dtype="f32")
+    assert not path.exists()
+    with pytest.raises(ValueError, match="underflows to zero in f32"):
+        write_matrix(HiddenStateMatrix(hard_fixture("gaussian", 4, 3, 0).data * 1e-50), path, "f32")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -0.0, 2.0**-149, -(2.0**-149), np.nextafter(2.0**-150, 1.0), 1e-40, 2.0**-126],
+)
+def test_f32_write_keeps_every_value_f32_represents(tmp_path, value):
+    data = np.array([[1.0, value]])
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(data), path, dtype="f32")
+    back = read_matrix(path).data
+    np.testing.assert_array_equal(back, data.astype(np.float32).astype(np.float64))
+    assert np.signbit(back).tolist() == np.signbit(data).tolist()
+
+
 def test_write_rejects_an_unknown_dtype(tmp_path):
     path = tmp_path / "m.hsmx"
     with pytest.raises(ValueError, match="unsupported dtype 'f16'"):
