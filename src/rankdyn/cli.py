@@ -33,8 +33,19 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import verify as verifymod
-from .dynamics import DEFAULT_STRIDE, Engine, require_stride, trajectory_metrics
+from .dynamics import (
+    DEFAULT_STRIDE,
+    Engine,
+    differences,
+    eval_steps,
+    prefix_eranks,
+    require_stride,
+    trajectory_metrics,
+    walk_flops,
+)
 from .errors import GroupTooSmall, ManifestError, RankdynError, WorkerDied
 from .shaping import (
     EmaState,
@@ -44,7 +55,7 @@ from .shaping import (
     shape_from_metrics,
 )
 from .spectral import Centering
-from .tensor_io import read_matrix
+from .tensor_io import read_header, read_matrix
 
 METRICS_HEADER = ["id", "T", "D", "er", "erv", "era", "error"]
 SHAPE_HEADER = ["id", "group", "reward", "a0", "d0", "d1", "d2", "beta", "phi", "a_hat"]
@@ -54,10 +65,13 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine) -> tuple:
-    """Metric phase of one trajectory: (values, read seconds, metric seconds).
+def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
+                   solve: slice | None = None) -> tuple:
+    """Metric phase of one trajectory, or of the prefix ends `solve` of it:
+    (values, read seconds, metric seconds).
 
-    values is (T, D, er, erv, era), or (error type name, message) for any
+    values is (T, D, er, erv, era), or with `solve` (T, D, the ERs of those
+    ends from dynamics.prefix_eranks), or (error type name, message) for any
     Exception, so one bad trajectory costs its row and never the batch: plain
     values only, as an exception that needs more than its message cannot be
     unpickled. This is the one place a trajectory's failure becomes a value.
@@ -66,12 +80,73 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine)
     try:
         matrix = read_matrix(path)
         clock.append(time.perf_counter())
-        final_er, series = trajectory_metrics(matrix, stride, centering, engine)
-        values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
+        if solve is None:
+            final_er, series = trajectory_metrics(matrix, stride, centering, engine)
+            values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
+        else:
+            steps = eval_steps(matrix.rows, stride, centering)
+            eranks = prefix_eranks(matrix.data, steps, centering, engine, solve)
+            values = (matrix.rows, matrix.cols, eranks)
     except Exception as exc:
         values = (type(exc).__name__, str(exc))
     clock.append(time.perf_counter())
     return values, clock[1] - clock[0], clock[-1] - clock[1]
+
+
+def plan_jobs(paths: list[str], stride: int, centering: Centering, engine: Engine,
+              cpus: int) -> list[tuple[int, slice | None]]:
+    """The metric phase's jobs, as (path index, solve range; None for the
+    whole trajectory), in input order.
+
+    A trajectory whose modeled cost (dynamics.walk_flops) exceeds the batch's
+    over cpus is cut into contiguous ranges of its prefix ends, taken from its
+    last end back, latest first. Each range holds one end, then as many more
+    as keep its cost within that share, the build of every earlier block
+    included, and more still until its solves cost more than that build; the
+    ends left join it when they would solve no more than they rebuild. So each
+    range of a cut trajectory solves more than it rebuilds, and a trajectory
+    that cannot be cut so stays one job. A trajectory whose header fails a
+    check (tensor_io.read_header) or that has no eval step is one job, whose
+    worker reports the fault."""
+    if cpus == 1:
+        return [(index, None) for index in range(len(paths))]
+    flops = []
+    for path in paths:
+        try:
+            rows, dims = read_header(path)
+            flops.append(walk_flops(rows, dims, eval_steps(rows, stride, centering), engine))
+        except (RankdynError, OSError):
+            flops.append((0.0, np.zeros(0), np.zeros(0)))
+    costs = [head + build.sum() + solve.sum() for head, build, solve in flops]
+    share = sum(costs) / cpus
+    jobs = []
+    for index, (head, build, solve) in enumerate(flops):
+        built = head + np.cumsum(build)  # the cost of building every block up to each end
+        solved = np.cumsum(solve)  # the cost of solving every end up to each end
+        ranges, stop = [], len(solve) if costs[index] > share else 0
+        while stop:
+            first, cost = stop - 1, built[stop - 1] + solve[stop - 1]
+            # cost > 2 * built[stop - 1] once the range solves more than it rebuilds.
+            while first and (cost + solve[first - 1] <= share or cost <= 2 * built[stop - 1]):
+                first -= 1
+                cost += solve[first]
+            if first and solved[first - 1] <= built[first - 1]:
+                first = 0
+            ranges.append(slice(first, stop))
+            stop = first
+        jobs += [(index, part) for part in ranges] if len(ranges) > 1 else [(index, None)]
+    return jobs
+
+
+def join_ranges(pieces: list[tuple]) -> tuple:
+    """One trajectory's values from the values of its ranges, latest first:
+    the error of the earliest that failed, else (T, D, er, erv, era) from
+    their ERs in order, as trajectory_metrics gives them."""
+    for values in reversed(pieces):
+        if len(values) == 2:
+            return values
+    *eranks, final = np.concatenate([values[2] for values in reversed(pieces)])
+    return (*pieces[0][:2], float(final), *differences(eranks))
 
 
 CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "quota period" or "max period"
@@ -176,31 +251,41 @@ def metric_phase(
 ) -> tuple[list[tuple], dict]:
     """trajectory_job over every path, in input order, plus its run report.
 
-    With fork, one worker per usable CPU and trajectory at most (fork_map; a
-    spawned one would import numpy anew). A bad stride raises before any file
-    is read; a trajectory that fails is an error row (trajectory_job), counted
-    in the report's rows and errors. BLAS runs on one thread on every path, so
-    no float depends on the worker count; with no known BLAS to pin, all runs
-    in-process.
+    With fork, the jobs of plan_jobs run on one worker per usable CPU and job
+    at most (fork_map; a spawned one would import numpy anew), and the ranges
+    of a split trajectory are joined (join_ranges). A bad stride raises before
+    any file is read; a trajectory that fails is an error row
+    (trajectory_job), counted in the report's rows and errors. BLAS runs on
+    one thread on every path, so no float depends on the worker count; with
+    no known BLAS to pin, all runs in-process.
     """
     from .lapack import core_name, eig_kernel, qr_kernels, single_threaded_blas
 
     require_stride(stride)
     start = time.perf_counter()
-    job = functools.partial(trajectory_job, stride=stride, centering=centering, engine=engine)
     with single_threaded_blas() as pinned:
         # Resolved before any fork, so the workers inherit the bound kernels.
         qr = ("lapack" if qr_kernels() else "numpy") if engine is Engine.FACTOR else None
         eig = ("lapack" if eig_kernel() else "numpy") if engine is Engine.INCREMENTAL_GRAM else None
-        workers = min(usable_cpus(), len(paths)) if pinned and fork else 1
+        cpus = usable_cpus() if pinned and fork else 1
+        jobs = plan_jobs(paths, stride, centering, engine, cpus)
+        items = [functools.partial(trajectory_job, paths[index], stride, centering, engine, solve)
+                 for index, solve in jobs]
+        workers = min(cpus, len(jobs))
         if workers == 1:
-            results = [job(path) for path in paths]
+            results = [item() for item in items]
         else:
-            results = fork_map(job, paths, workers)
-    errors = [values[0] for values, _, _ in results if len(values) == 2]
+            results = fork_map(lambda item: item(), items, workers)
+    pieces: list[list[tuple]] = [[] for _ in paths]
+    for (index, _), (values, _, _) in zip(jobs, results):
+        pieces[index].append(values)
+    rows = [got[0] if len(got) == 1 else join_ranges(got) for got in pieces]
+    errors = [values[0] for values in rows if len(values) == 2]
     report = {
         "engine": engine.value,
         "workers": workers,
+        "jobs": len(jobs),
+        "split": sum(len(got) > 1 for got in pieces),
         "blas_pinned": pinned,
         "blas_core": core_name(),
         "qr": qr,
@@ -208,9 +293,9 @@ def metric_phase(
         "metric_phase_s": time.perf_counter() - start,
         "stage_s": {"read": sum(r[1] for r in results), "metrics": sum(r[2] for r in results)},
         "errors": {name: errors.count(name) for name in sorted(set(errors))},
-        "rows": {"ok": len(results) - len(errors), "error": len(errors)},
+        "rows": {"ok": len(rows) - len(errors), "error": len(errors)},
     }
-    return [r[0] for r in results], report
+    return rows, report
 
 
 def _check_paths(args: argparse.Namespace, trajectories: list[str], *inputs: str) -> None:

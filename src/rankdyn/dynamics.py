@@ -16,6 +16,7 @@ K >= 3). For the exactly linear series m_n = n these reduce to (N+2)/4 and
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -117,20 +118,45 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> It
 
 
 def prefix_eranks(
-    data: np.ndarray, steps: list[int], centering: Centering, engine: Engine
+    data: np.ndarray, steps: list[int], centering: Centering, engine: Engine,
+    solve: slice = slice(None),
 ) -> np.ndarray:
-    """Effective rank of each prefix data[:t], t in the increasing steps and
-    then t = T, the final ER. Centered mode first shifts the rows by the mean
-    of the first eval prefix (`spectral.shifted`). Each engine yields one
-    matrix per end, solved here before the engine resumes and may overwrite it."""
+    """Effective rank of each prefix data[:t], t in the increasing ends: the
+    steps, then t = T for the final ER. Only ends[solve] are solved; the
+    engine still builds every earlier block, as later blocks depend on them,
+    and the walk stops after the last end solved. Centered mode first shifts
+    the rows by the mean of the first eval prefix (`spectral.shifted`). Each
+    engine yields one matrix per end, solved here before the engine resumes
+    and may overwrite it."""
     ends = [*steps, data.shape[0]]
     build = gram_stream.gram_blocks if engine is Engine.INCREMENTAL_GRAM else factor_blocks
     blocks = build(shifted(data, steps, centering), ends, centering)
+    blocks = itertools.islice(blocks, solve.start, solve.stop)
     if engine is Engine.INCREMENTAL_GRAM:
         # Looked up on its module at each call: perfbench wraps it there.
         return np.array([gram_stream.erank_from_gram(gram) for gram in blocks])
     sigmas = (np.linalg.svd(block, compute_uv=False) for block in blocks)
     return np.array([summary_from_singular_values(s).effective_rank for s in sigmas])
+
+
+def walk_flops(
+    rows: int, dims: int, steps: list[int], engine: Engine
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Modeled flops of the LAPACK kernels of prefix_eranks on a rows-by-dims
+    trajectory: (head, build, solve). head is the row factor of m rows,
+    2 D m^2, or the head Gram, m^2 D. Per end t, build is the fold, 2 b D^2,
+    or the scatter update, b D^2, of the b rows it adds past D, and solve is
+    the SVD, 8/3 n^3, or dsyevd, 4/3 n^3, of its n = min(t, D) block."""
+    ends = np.array([*steps, rows], dtype=np.float64)
+    gram = engine is Engine.INCREMENTAL_GRAM
+    if gram:
+        head = max((t for t in ends if t <= dims), default=0.0) ** 2 * dims
+    else:
+        head = 2 * dims * min(rows, dims) ** 2 if ends[0] <= dims else 0.0
+    folded = np.where(ends > dims, ends, 0.0)  # the rows folded in after each end
+    build = (1 if gram else 2) * np.diff(folded, prepend=0.0) * dims**2
+    solve = (4 / 3 if gram else 8 / 3) * np.minimum(ends, dims) ** 3
+    return head, build, solve
 
 
 def prefix_metric_series(

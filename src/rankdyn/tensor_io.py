@@ -16,6 +16,7 @@ Computation always happens in float64; an f32 payload is widened on load.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,12 +82,12 @@ def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64"
         fh.write(payload.tobytes())
 
 
-def read_matrix(path: str | Path) -> HiddenStateMatrix:
-    """Load an HSMX file, widening an f32 payload to f64."""
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise TruncatedPayload("file shorter than HSMX header", offset=len(raw))
-    magic, version, dtype_flag, kind_flag, reserved, rows, cols = _HEADER.unpack_from(raw)
+def _check_header(head: bytes, size: int) -> tuple[int, int, int]:
+    """(rows, cols, itemsize) from the header `head` of an HSMX file of `size`
+    bytes, or the FormatError of the first check it fails, at its byte offset."""
+    if size < HEADER_SIZE:
+        raise TruncatedPayload("file shorter than HSMX header", offset=size)
+    magic, version, dtype_flag, kind_flag, reserved, rows, cols = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}, found {magic!r}", offset=0)
     if version != FORMAT_VERSION:
@@ -102,19 +103,34 @@ def read_matrix(path: str | Path) -> HiddenStateMatrix:
         raise FormatError(f"header declares a {rows}x{cols} matrix", offset=offset)
     itemsize = 8 if dtype_flag == 0 else 4
     expected = rows * cols * itemsize
-    got = len(raw) - HEADER_SIZE
+    got = size - HEADER_SIZE
     if got < expected:
         raise TruncatedPayload(
             f"payload holds {got // itemsize} scalars, header declares {rows * cols}",
-            offset=len(raw),
+            offset=size,
         )
     if got > expected:
         raise FormatError(
             f"{got - expected} trailing bytes after the payload",
             offset=HEADER_SIZE + expected,
         )
-    np_dtype = np.dtype("<f8") if dtype_flag == 0 else np.dtype("<f4")
-    flat = np.frombuffer(raw, dtype=np_dtype, count=rows * cols, offset=HEADER_SIZE)
+    return rows, cols, itemsize
+
+
+def read_header(path: str | Path) -> tuple[int, int]:
+    """(rows, cols) of an HSMX file from its header alone, checked as
+    read_matrix checks it, the payload size against the file size included."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+        size = os.fstat(fh.fileno()).st_size
+    return _check_header(head, size)[:2]
+
+
+def read_matrix(path: str | Path) -> HiddenStateMatrix:
+    """Load an HSMX file, widening an f32 payload to f64."""
+    raw = Path(path).read_bytes()
+    rows, cols, itemsize = _check_header(raw, len(raw))
+    flat = np.frombuffer(raw, dtype=f"<f{itemsize}", count=rows * cols, offset=HEADER_SIZE)
     data = flat.astype(np.float64).reshape(rows, cols)
     try:
         return HiddenStateMatrix(data)

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from rankdyn import (
 )
 from rankdyn import cli, verify
 from rankdyn.cli import main, read_manifest, usable_cpus
-from rankdyn.dynamics import Engine
+from rankdyn.dynamics import Engine, eval_steps, walk_flops
 from rankdyn.errors import GroupTooSmall, ManifestError
 from rankdyn.lapack import eig_kernel, openblas, qr_kernels
 from rankdyn.spectral import Centering
@@ -511,10 +512,12 @@ def worker_counts_agree(args, tmp_path, program=("-m", "rankdyn.cli")):
     single, pooled = runs
     assert single[:3] == pooled[:3]
     if single[3] is not None:
-        assert single[3]["workers"] == 1
         trajectories = pooled[2].count(b"\n") - 1  # one CSV row each
-        expected = min(usable_cpus(), trajectories) if pooled[3]["blas_pinned"] else 1
+        assert (single[3]["workers"], single[3]["jobs"], single[3]["split"]) == (1, trajectories, 0)
+        # The pool has one worker per job at most, and a split trajectory adds jobs.
+        expected = min(usable_cpus(), pooled[3]["jobs"]) if pooled[3]["blas_pinned"] else 1
         assert pooled[3]["workers"] == expected
+        assert pooled[3]["jobs"] >= trajectories + pooled[3]["split"]
     return pooled
 
 
@@ -689,19 +692,20 @@ def test_main_keeps_metric_phase_in_process(tmp_path):
     assert json.loads(stats.read_text())["workers"] == 1
 
 
-# Each read_matrix call leaves a file named after the trajectory and the pid,
-# and the file named fail_on raises a LinAlgError. After the run, the CLI checks
-# that it has no child left, reaped or not.
+# Each read_matrix call leaves a file named after the trajectory, the pid and
+# the call, and the file named fail_on raises a LinAlgError. After the run, the
+# CLI checks that it has no child left, reaped or not.
 COUNT_READS_CLI = """
-import os, sys
+import itertools, os, sys
 from numpy.linalg import LinAlgError
 from rankdyn import cli
 
 read_matrix = cli.read_matrix
+calls = itertools.count()
 
 def counted(path):
     name = os.path.basename(path)
-    open(os.path.join({reads!r}, f"{{name}}-{{os.getpid()}}"), "w").close()
+    open(os.path.join({reads!r}, f"{{name}}-{{os.getpid()}}-{{next(calls)}}"), "w").close()
     if name == {fail_on!r}:
         raise LinAlgError("SVD did not converge")
     return read_matrix(path)
@@ -772,10 +776,142 @@ def test_forked_phase_keeps_input_order_on_uneven_lengths(tmp_path):
     code, stderr, data, report = worker_counts_agree(
         ["metrics", "--in", batch, "--engine", "incremental"], tmp_path, program=program
     )
-    assert (code, stderr, report["workers"]) == (0, "", min(usable_cpus(), len(lengths)))
+    assert (code, stderr, report["workers"]) == (0, "", min(usable_cpus(), report["jobs"]))
     rows = list(csv.reader(data.decode().splitlines()))[1:]
     assert [(r[0], int(r[1])) for r in rows] == [(f"t{i:02d}", t) for i, t in enumerate(lengths)]
-    assert len(list(reads.iterdir())) == 2 * len(lengths)  # the in-process run, then the pool
+    # The in-process run reads each file once, the pool once per job: a split
+    # trajectory's ranges each read it.
+    assert len(list(reads.iterdir())) == len(lengths) + report["jobs"]
+
+
+@needs_two_workers
+def test_a_trajectory_heavier_than_its_share_runs_on_several_workers(tmp_path):
+    # Alone in its batch, a trajectory holds the whole batch's cost, so it is
+    # cut, and even one rollout runs on two workers.
+    batch = write_batch(tmp_path, [600], cols=48)
+    program, reads = counting_cli(tmp_path)
+    code, stderr, data, report = worker_counts_agree(
+        ["metrics", "--in", batch, "--stride", "8"], tmp_path, program=program
+    )
+    assert (code, stderr, report["split"]) == (0, "", 1)
+    assert report["workers"] >= 2  # min(usable CPUs, jobs): 2 on two CPUs
+    assert report["rows"] == {"ok": 1, "error": 0}
+    assert len(list(reads.iterdir())) == 1 + report["jobs"]
+
+
+@pytest.mark.skipif(openblas() is None, reason="plans jobs only with a pinnable BLAS")
+@pytest.mark.parametrize("engine", Engine)
+@pytest.mark.parametrize("center", Centering)
+@pytest.mark.parametrize("rows,cols", [(40, 48), (90, 12)], ids=["T<D", "T>D"])
+def test_split_and_unsplit_give_the_same_rows(tmp_path, monkeypatch, engine, center, rows, cols):
+    path = tmp_path / "t.hsmx"
+    write_trajectory(path, rows, cols, seed=rows)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "fork_map", lambda job, items, workers: [job(i) for i in items])
+    whole, _ = cli.metric_phase([str(path)], 1, center, engine, fork=False)
+    split, report = cli.metric_phase([str(path)], 1, center, engine, fork=True)
+    assert report["split"] == 1 and report["jobs"] >= 2
+    assert split == whole and whole[0][:2] == (rows, cols) and whole[0][4] is not None
+
+
+# The solve of a T <= D prefix of any of the lengths fail_at raises a
+# LinAlgError that names the length.
+FAILING_SOLVE_CLI = """
+from numpy.linalg import LinAlgError
+from rankdyn import cli, dynamics
+
+summary = dynamics.summary_from_singular_values
+
+def failing(sigma):
+    if len(sigma) in {fail_at!r}:
+        raise LinAlgError(f"SVD did not converge at t={{len(sigma)}}")
+    return summary(sigma)
+
+dynamics.summary_from_singular_values = failing
+cli.run()
+"""
+
+
+@needs_two_workers
+def test_a_split_trajectory_keeps_the_error_of_its_earliest_failing_end(tmp_path):
+    # Ends 64 and 192 of 200 fall in the earliest and the latest range, and the
+    # unsplit walk stops at 64.
+    batch = write_batch(tmp_path, [200], cols=256)
+    program = ("-c", FAILING_SOLVE_CLI.format(fail_at=(64, 192)))
+    code, stderr, data, report = worker_counts_agree(
+        ["metrics", "--in", batch, "--stride", "8"], tmp_path, program=program
+    )
+    assert (code, stderr, report["split"]) == (0, "", 1)
+    assert data.decode().splitlines()[1] == "t00,,,,,,LinAlgError: SVD did not converge at t=64"
+
+
+@needs_two_workers
+def test_a_header_that_claims_too_many_rows_is_one_job(tmp_path):
+    # 92 bytes: one row of 8 float64s, whose header claims 2^28 rows. The plan
+    # trusts no header that read_matrix would reject, so the file is one job,
+    # planned at no cost, and costs its row as at a plan that reads no header.
+    write_matrix(HiddenStateMatrix(np.ones((1, 8))), tmp_path / "big.hsmx")
+    raw = bytearray((tmp_path / "big.hsmx").read_bytes())
+    raw[12:20] = (2**28).to_bytes(8, "little")
+    (tmp_path / "big.hsmx").write_bytes(raw)
+    write_trajectory(tmp_path / "good.hsmx", 300, 16, seed=0)
+    paths = [str(tmp_path / "big.hsmx"), str(tmp_path / "good.hsmx")]
+    jobs = cli.plan_jobs(paths, 40, Centering.RAW, Engine.FACTOR, cpus=2)
+    assert jobs[0] == (0, None) and [i for i, _ in jobs[1:]] == [1] * (len(jobs) - 1)
+    code, _, data, report = worker_counts_agree(["metrics", "--in", tmp_path / "*.hsmx"], tmp_path)
+    truncated = "payload holds 8 scalars, header declares 2147483648 (byte offset 92)"
+    rows = list(csv.reader(data.decode().splitlines()))
+    assert rows[1] == ["big", *[""] * 5, f"TruncatedPayload: {truncated}"]
+    assert report["rows"] == {"ok": 1, "error": 1}
+
+
+def sparse_batch(tmp_path, name, lengths, dims, dtype):
+    """Files whose headers declare these shapes, the payloads left as holes."""
+    paths = []
+    for i, rows in enumerate(lengths):
+        path = tmp_path / f"{name}{i:02d}.hsmx"
+        itemsize = 8 if dtype == "f64" else 4
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sIBBHQQ", b"HSMX", 1, itemsize == 4, 0, 0, rows, dims))
+            fh.truncate(HEADER_SIZE + rows * dims * itemsize)
+        paths.append(str(path))
+    return paths
+
+
+# Batches shaped as perfbench's workloads at seed 2437: (lengths, D, dtype,
+# engine, centering, which trajectories are cut on 2, 4 and 16 CPUs).
+WORKLOAD_SHAPES = {
+    "shape-step": ([407, 241, 228, 185, 179, 152, 148, 128, 125, 108, 105, 90, 87, 71, 68, 45],
+                   4096, "f32", Engine.FACTOR, Centering.RAW, {2: [], 4: [], 16: []}),
+    "metrics-long": ([2569, 1630], 256, "f64", Engine.FACTOR, Centering.RAW,
+                     {2: [0], 4: [0, 1], 16: [0, 1]}),
+    "metrics-stream-centered": ([972, 885], 1024, "f32", Engine.INCREMENTAL_GRAM,
+                                Centering.ROW_MEAN_CENTERED, {2: [0], 4: [0, 1], 16: [0, 1]}),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 4, 16])
+@pytest.mark.parametrize("workload", WORKLOAD_SHAPES)
+def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
+    # shape-step's row factor costs more than all its solves, so no cut pays
+    # for its rebuild on any CPU count.
+    lengths, dims, dtype, engine, center, cut = WORKLOAD_SHAPES[workload]
+    paths = sparse_batch(tmp_path, workload, lengths, dims, dtype)
+    jobs = cli.plan_jobs(paths, 40, center, engine, cpus)
+    assert cli.plan_jobs(paths, 40, center, engine, cpus=1) == [(i, None) for i in range(len(paths))]
+    assert sorted({i for i, solve in jobs if solve is not None}) == cut[cpus]
+    assert [i for i, _ in jobs] == sorted(i for i, _ in jobs)  # in input order
+    assert [i for i, solve in jobs if solve is None] == [i for i in range(len(paths)) if i not in cut[cpus]]
+    for index in cut[cpus]:
+        ranges = [solve for i, solve in jobs if i == index]
+        steps = eval_steps(lengths[index], 40, center)
+        head, build, solve = walk_flops(lengths[index], dims, steps, engine)
+        # Contiguous, latest first, covering every end once, and each range
+        # solves more than it rebuilds.
+        bounds = [0] + [part.stop for part in reversed(ranges)]
+        assert [(s.start, s.stop) for s in reversed(ranges)] == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == len(steps) + 1
+        assert all(solve[part].sum() > head + build[: part.stop].sum() for part in ranges)
 
 
 # Runs body, then checks that no child is left, reaped or not.

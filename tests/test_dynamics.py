@@ -12,7 +12,7 @@ from rankdyn import (
     trajectory_metrics,
 )
 from rankdyn import verify
-from rankdyn.dynamics import eval_steps
+from rankdyn.dynamics import eval_steps, prefix_eranks, walk_flops
 from rankdyn.errors import DegenerateMatrix, TrajectoryTooShort
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture, prefix_spectra
@@ -106,6 +106,36 @@ def test_final_metric_covers_trailing_tokens():
     assert series.eval_steps == (40,)
     # the final metric is computed on all 50 rows, not the 40-row prefix
     assert final_er != pytest.approx(series.prefix_values[0])
+
+
+@pytest.mark.parametrize("engine", Engine)
+@pytest.mark.parametrize("centering", Centering)
+@pytest.mark.parametrize("rows,dims,stride", [(30, 40, 1), (60, 12, 1), (61, 24, 5)])
+def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
+    # The metric phase joins a split trajectory's ranges: each range walks the
+    # same blocks, so its ERs are the whole walk's, bit for bit.
+    data = hard_fixture("power-law", rows, dims, seed=rows).data
+    steps = eval_steps(rows, stride, centering)
+    whole = prefix_eranks(data, steps, centering, engine)
+    cuts = [0, 1, len(whole) // 2, len(whole) - 1, len(whole)]
+    ranges = [prefix_eranks(data, steps, centering, engine, slice(a, b))
+              for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(ranges).tobytes() == whole.tobytes()
+
+
+def test_walk_flops_counts_each_kernel():
+    # Ends 2, 4 of D = 4 come from the head; 6, 8, 10 fold 6, 2 and 2 rows.
+    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8], Engine.FACTOR)
+    assert head == 2 * 4 * 4**2  # the row factor of min(T, D) rows
+    assert build.tolist() == [2 * b * 4**2 for b in (0, 0, 6, 2, 2)]
+    assert solve.tolist() == [8 / 3 * n**3 for n in (2, 4, 4, 4, 4)]
+    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8], Engine.INCREMENTAL_GRAM)
+    assert head == 4**2 * 4  # the Gram of the rows up to the last end within D
+    assert build.tolist() == [b * 4**2 for b in (0, 0, 6, 2, 2)]
+    assert solve.tolist() == [4 / 3 * n**3 for n in (2, 4, 4, 4, 4)]
+    # Every end past D: no head; the first fold takes every row up to it.
+    head, build, _ = walk_flops(10, 4, [6, 8], Engine.FACTOR)
+    assert head == 0 and build.tolist() == [2 * b * 4**2 for b in (6, 2, 2)]
 
 
 # (T, D, stride): T < D, T = D and T > D; prefixes that cross D; stride 1;

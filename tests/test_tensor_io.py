@@ -14,7 +14,7 @@ from rankdyn.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rankdyn.tensor_io import HEADER_SIZE
+from rankdyn.tensor_io import HEADER_SIZE, read_header
 from rankdyn.verify import FIXTURES, hard_fixture, orthogonal_rows
 
 
@@ -168,6 +168,38 @@ def test_empty_matrix_header_rejected(tmp_path, rows, cols, offset):
         read_matrix(path)
     assert type(exc.value) is FormatError
     assert exc.value.offset == offset
+
+
+# A header field overwritten with bytes that fail its check, at its offset.
+HEADER_FAULTS = {"magic": (0, b"XXXX"), "version": (4, b"\x09"), "dtype": (8, b"\x07"),
+                 "kind": (9, b"\x02"), "reserved": (11, b"\x01"), "rows-0": (12, bytes(8)),
+                 "cols-0": (20, bytes(8)), "huge-rows": (12, (2**28).to_bytes(8, "little"))}
+
+
+def corrupt(raw: bytearray, fault: str) -> bytes:
+    """An f64 8x8 HSMX file's bytes with one fault."""
+    if fault == "short-header":
+        return bytes(raw[:20])
+    if fault == "trailing":
+        return bytes(raw + b"\0")
+    if fault == "truncated":
+        return bytes(raw[:-1])
+    at, value = HEADER_FAULTS[fault]
+    raw[at : at + len(value)] = value
+    return bytes(raw)  # huge-rows: 2^28 rows claimed by a 540-byte file
+
+
+@pytest.mark.parametrize("fault", ["short-header", "trailing", "truncated", *HEADER_FAULTS])
+def test_read_header_checks_as_read_matrix_does(tmp_path, fault):
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(np.ones((8, 8))), path)
+    assert read_header(path) == (8, 8)
+    path.write_bytes(corrupt(bytearray(path.read_bytes()), fault))
+    with pytest.raises(FormatError) as whole:
+        read_matrix(path)
+    with pytest.raises(FormatError) as header:
+        read_header(path)
+    assert (type(header.value), str(header.value)) == (type(whole.value), str(whole.value))
 
 
 def test_non_finite_payload(tmp_path):
