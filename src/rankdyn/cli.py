@@ -70,30 +70,31 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
     """Metric phase of one trajectory, or of the prefix ends `solve` of it:
     (values, read seconds, metric seconds).
 
-    values is (T, D, er, erv, era), or with `solve` (T, D, the ERs of those
-    ends from dynamics.prefix_eranks), or (error type name, message) for any
-    Exception, so one bad trajectory costs its row and never the batch: plain
-    values only, as an exception that needs more than its message cannot be
-    unpickled. This is the one place a trajectory's failure becomes a value.
+    values is (T, D, the ERs of its ends, the final ER last on a whole one),
+    or (error type name, message) for any Exception, so one bad trajectory
+    costs its row and never the batch: plain values only, as an exception that
+    needs more than its message cannot be unpickled. This is the one place a
+    trajectory's failure becomes a value.
     """
     clock = [time.perf_counter()]
     try:
         matrix = read_matrix(path)
         clock.append(time.perf_counter())
         if solve is None:
+            # perfbench's dynamics.trajectory and dynamics.prefix spans hang on this call.
             final_er, series = trajectory_metrics(matrix, stride, centering, engine)
-            values = (matrix.rows, matrix.cols, final_er, series.velocity, series.acceleration)
+            eranks = np.append(series.prefix_values, final_er)
         else:
             steps = eval_steps(matrix.rows, stride, centering)
             eranks = prefix_eranks(matrix.data, steps, centering, engine, solve)
-            values = (matrix.rows, matrix.cols, eranks)
+        values = (matrix.rows, matrix.cols, eranks)
     except Exception as exc:
         values = (type(exc).__name__, str(exc))
     clock.append(time.perf_counter())
     return values, clock[1] - clock[0], clock[-1] - clock[1]
 
 
-def plan_jobs(paths: list[str], stride: int, centering: Centering, engine: Engine,
+def plan_jobs(paths: list[str], stride: int, centering: Centering,
               cpus: int) -> list[tuple[int, slice | None]]:
     """The metric phase's jobs, as (path index, solve range; None for the
     whole trajectory), in input order.
@@ -108,13 +109,11 @@ def plan_jobs(paths: list[str], stride: int, centering: Centering, engine: Engin
     that cannot be cut so stays one job. A trajectory whose header fails a
     check (tensor_io.read_header) or that has no eval step is one job, whose
     worker reports the fault."""
-    if cpus == 1:
-        return [(index, None) for index in range(len(paths))]
     flops = []
     for path in paths:
         try:
             rows, dims = read_header(path)
-            flops.append(walk_flops(rows, dims, eval_steps(rows, stride, centering), engine))
+            flops.append(walk_flops(rows, dims, eval_steps(rows, stride, centering)))
         except (RankdynError, OSError):
             flops.append((0.0, np.zeros(0), np.zeros(0)))
     costs = [head + build.sum() + solve.sum() for head, build, solve in flops]
@@ -139,7 +138,7 @@ def plan_jobs(paths: list[str], stride: int, centering: Centering, engine: Engin
 
 
 def join_ranges(pieces: list[tuple]) -> tuple:
-    """One trajectory's values from the values of its ranges, latest first:
+    """One trajectory's values from the values of its jobs, latest first:
     the error of the earliest that failed, else (T, D, er, erv, era) from
     their ERs in order, as trajectory_metrics gives them."""
     for values in reversed(pieces):
@@ -182,11 +181,11 @@ def die_with_parent(parent: int) -> None:
 INDEX_BYTES = 8  # one job index in the index pipe, written and read whole
 
 
-def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
+def _fork_worker(jobs: list, parent: int, pipes: tuple[int, int, int],
                  inherited: list[int]) -> None:
     """Body of one forked worker; never returns. The index pipe holds the next
     job index, which one worker at a time takes and puts back plus one, until
-    it reads len(items). The (index, result) of its jobs go to the parent,
+    it reads len(jobs). The (index, result) of its jobs go to the parent,
     pickled, on out_w. A job that raises ends the worker with exit code 1.
     inherited are fds of the parent it closes."""
     code, done = 1, []
@@ -195,10 +194,10 @@ def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
         die_with_parent(parent)
         for fd in inherited:
             os.close(fd)
-        while (index := int.from_bytes(os.read(index_r, INDEX_BYTES), "little")) < len(items):
+        while (index := int.from_bytes(os.read(index_r, INDEX_BYTES), "little")) < len(jobs):
             os.write(index_w, (index + 1).to_bytes(INDEX_BYTES, "little"))
-            done.append((index, job(items[index])))
-        os.write(index_w, len(items).to_bytes(INDEX_BYTES, "little"))
+            done.append((index, jobs[index]()))
+        os.write(index_w, len(jobs).to_bytes(INDEX_BYTES, "little"))
         with os.fdopen(out_w, "wb") as out:
             pickle.dump(done, out)
         code = 0
@@ -206,8 +205,8 @@ def _fork_worker(job, items: list, parent: int, pipes: tuple[int, int, int],
         os._exit(code)
 
 
-def fork_map(job, items: list, workers: int) -> list:
-    """[job(item) for item in items] on `workers` bare forked workers, which die
+def fork_map(jobs: list, workers: int) -> list:
+    """[job() for job in jobs] on `workers` bare forked workers, which die
     with this process (die_with_parent). Jobs start in input order. A worker
     that dies, a job that raises included, raises WorkerDied. Every worker is
     reaped and every pipe closed on every way out."""
@@ -223,7 +222,7 @@ def fork_map(job, items: list, workers: int) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _fork_worker(job, items, parent, (index_r, index_w, out_w), list(chunks))
+                    _fork_worker(jobs, parent, (index_r, index_w, out_w), list(chunks))
             finally:  # in the parent only: a worker never returns
                 os.close(out_w)
             pids[out_r] = pid
@@ -243,7 +242,7 @@ def fork_map(job, items: list, workers: int) -> list:
             os.waitpid(pid, 0)
         for fd in [index_r, index_w, *chunks]:
             os.close(fd)
-    return [results[index] for index in range(len(items))]
+    return [results[index] for index in range(len(jobs))]
 
 
 def metric_phase(
@@ -252,8 +251,8 @@ def metric_phase(
     """trajectory_job over every path, in input order, plus its run report.
 
     With fork, the jobs of plan_jobs run on one worker per usable CPU and job
-    at most (fork_map; a spawned one would import numpy anew), and the ranges
-    of a split trajectory are joined (join_ranges). A bad stride raises before
+    at most (fork_map; a spawned one would import numpy anew). join_ranges
+    makes each trajectory's row from its jobs. A bad stride raises before
     any file is read; a trajectory that fails is an error row
     (trajectory_job), counted in the report's rows and errors. BLAS runs on
     one thread on every path, so no float depends on the worker count; with
@@ -268,18 +267,18 @@ def metric_phase(
         qr = ("lapack" if qr_kernels() else "numpy") if engine is Engine.FACTOR else None
         eig = ("lapack" if eig_kernel() else "numpy") if engine is Engine.INCREMENTAL_GRAM else None
         cpus = usable_cpus() if pinned and fork else 1
-        jobs = plan_jobs(paths, stride, centering, engine, cpus)
-        items = [functools.partial(trajectory_job, paths[index], stride, centering, engine, solve)
-                 for index, solve in jobs]
+        plan = plan_jobs(paths, stride, centering, cpus)
+        jobs = [functools.partial(trajectory_job, paths[index], stride, centering, engine, solve)
+                for index, solve in plan]
         workers = min(cpus, len(jobs))
         if workers == 1:
-            results = [item() for item in items]
+            results = [job() for job in jobs]
         else:
-            results = fork_map(lambda item: item(), items, workers)
+            results = fork_map(jobs, workers)
     pieces: list[list[tuple]] = [[] for _ in paths]
-    for (index, _), (values, _, _) in zip(jobs, results):
+    for (index, _), (values, _, _) in zip(plan, results):
         pieces[index].append(values)
-    rows = [got[0] if len(got) == 1 else join_ranges(got) for got in pieces]
+    rows = [join_ranges(got) for got in pieces]
     errors = [values[0] for values in rows if len(values) == 2]
     report = {
         "engine": engine.value,

@@ -77,9 +77,10 @@ def differences(values: np.ndarray) -> tuple[float | None, float | None]:
     return float(deltas.mean()), acceleration
 
 
-def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iterator[np.ndarray]:
-    """Per end t, a matrix with the singular values of the prefix data[:t],
-    centered in centered mode, from small triangular factors.
+def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering,
+                  first: int) -> Iterator[np.ndarray]:
+    """Per end t from ends[first] on, a matrix with the singular values of the
+    prefix data[:t], centered in centered mode, from small triangular factors.
 
     Prefixes with t <= D: one QR of data[:m].T gives a lower-triangular L
     with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
@@ -93,18 +94,16 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> It
     keep the accuracy of an SVD of each prefix.
 
     Both QRs are `lapack.row_factor` and `lapack.fold_rows`, the latter on an
-    R that starts at zero.
+    R that starts at zero. Every chunk is folded, yielded or not.
     """
     rows, dims = data.shape
-    if ends[0] <= dims:
+    if ends[first] <= dims:
         lower = row_factor(data[: min(rows, dims)])
     if rows > dims:
         factor = np.zeros((dims, dims), order="F")
     count, mean = 0, np.zeros(dims)
-    for t in ends:
-        if t <= dims:
-            block = center(lower[:t, :t], centering)
-        else:
+    for index, t in enumerate(ends):
+        if t > dims:
             chunk = data[count:t]
             if centering is Centering.ROW_MEAN_CENTERED:
                 b = t - count
@@ -113,8 +112,9 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> It
                 chunk = np.vstack([chunk - chunk_mean, shift])
                 mean = mean + (chunk_mean - mean) * (b / t)
             fold_rows(factor, chunk)
-            block, count = factor, t
-        yield block
+            count = t
+        if index >= first:
+            yield center(lower[:t, :t], centering) if t <= dims else factor
 
 
 def prefix_eranks(
@@ -122,16 +122,16 @@ def prefix_eranks(
     solve: slice = slice(None),
 ) -> np.ndarray:
     """Effective rank of each prefix data[:t], t in the increasing ends: the
-    steps, then t = T for the final ER. Only ends[solve] are solved; the
-    engine still builds every earlier block, as later blocks depend on them,
-    and the walk stops after the last end solved. Centered mode first shifts
-    the rows by the mean of the first eval prefix (`spectral.shifted`). Each
-    engine yields one matrix per end, solved here before the engine resumes
-    and may overwrite it."""
+    steps, then t = T for the final ER. Only ends[solve] are solved: the engine
+    takes in every row before them but yields no earlier block, and the walk
+    stops after the last end solved. Centered mode first shifts the rows by the
+    mean of the first eval prefix (`spectral.shifted`). Each engine yields one
+    matrix per end, solved here before the engine resumes and may overwrite it."""
     ends = [*steps, data.shape[0]]
+    start, stop, _ = solve.indices(len(ends))
     build = gram_stream.gram_blocks if engine is Engine.INCREMENTAL_GRAM else factor_blocks
-    blocks = build(shifted(data, steps, centering), ends, centering)
-    blocks = itertools.islice(blocks, solve.start, solve.stop)
+    blocks = build(shifted(data, steps, centering), ends, centering, start)
+    blocks = itertools.islice(blocks, max(stop - start, 0))
     if engine is Engine.INCREMENTAL_GRAM:
         # Looked up on its module at each call: perfbench wraps it there.
         return np.array([gram_stream.erank_from_gram(gram) for gram in blocks])
@@ -139,23 +139,17 @@ def prefix_eranks(
     return np.array([summary_from_singular_values(s).effective_rank for s in sigmas])
 
 
-def walk_flops(
-    rows: int, dims: int, steps: list[int], engine: Engine
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Modeled flops of the LAPACK kernels of prefix_eranks on a rows-by-dims
+def walk_flops(rows: int, dims: int, steps: list[int]) -> tuple[float, np.ndarray, np.ndarray]:
+    """Modeled flops of the factor engine's LAPACK kernels on a rows-by-dims
     trajectory: (head, build, solve). head is the row factor of m rows,
-    2 D m^2, or the head Gram, m^2 D. Per end t, build is the fold, 2 b D^2,
-    or the scatter update, b D^2, of the b rows it adds past D, and solve is
-    the SVD, 8/3 n^3, or dsyevd, 4/3 n^3, of its n = min(t, D) block."""
+    2 D m^2. Per end t, build is the fold, 2 b D^2, of the b rows it adds past
+    D, and solve is the SVD, 8/3 n^3, of its n = min(t, D) block. Each Gram
+    engine kernel costs half (its head at T > D aside): both get one plan."""
     ends = np.array([*steps, rows], dtype=np.float64)
-    gram = engine is Engine.INCREMENTAL_GRAM
-    if gram:
-        head = max((t for t in ends if t <= dims), default=0.0) ** 2 * dims
-    else:
-        head = 2 * dims * min(rows, dims) ** 2 if ends[0] <= dims else 0.0
+    head = 2 * dims * min(rows, dims) ** 2 if ends[0] <= dims else 0.0
     folded = np.where(ends > dims, ends, 0.0)  # the rows folded in after each end
-    build = (1 if gram else 2) * np.diff(folded, prepend=0.0) * dims**2
-    solve = (4 / 3 if gram else 8 / 3) * np.minimum(ends, dims) ** 3
+    build = 2 * np.diff(folded, prepend=0.0) * dims**2
+    solve = 8 / 3 * np.minimum(ends, dims) ** 3
     return head, build, solve
 
 

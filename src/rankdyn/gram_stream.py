@@ -57,12 +57,16 @@ def erank_from_gram(gram: np.ndarray) -> float:
     return summary_from_singular_values(np.sqrt(eigvals)).effective_rank
 
 
-def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iterator[np.ndarray]:
-    """Per end t, the Gram matrix of the prefix data[:t], centered in centered
-    mode, built and centered in place in one F-ordered buffer."""
+def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering,
+                first: int) -> Iterator[np.ndarray]:
+    """Per end t from ends[first] on, the Gram matrix of the prefix data[:t],
+    centered in centered mode, built and centered in place in one F-ordered
+    buffer. Every row past D is scattered, yielded or not."""
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
-    head = data[: max((t for t in ends if t <= dims), default=0)]
+    # Up to every end within D, so a range keeps the whole walk's bits; none if none is yielded.
+    within = [t for t in ends if t <= dims] if ends[first] <= dims else []
+    head = data[: max(within, default=0)]
     head_gram = head @ head.T
     # The C-ordered transpose of an F-ordered block is filled row by row, about
     # 4x faster than a transposing copy; it holds the block itself only while
@@ -70,7 +74,11 @@ def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iter
     symmetric = np.array_equal(head_gram, head_gram.T)
     buffer = np.empty(min(rows, dims) ** 2)
     state = GramStreamState(dims)
-    for t in ends:
+    for index, t in enumerate(ends):
+        if t > dims:
+            state.extend(data[state.t : t])
+        if index < first:
+            continue
         n = min(t, dims)
         gram = buffer[: n * n].reshape(n, n, order="F")
         if t <= dims:
@@ -82,7 +90,6 @@ def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering) -> Iter
                 gram -= r[None, :]
                 gram += r.mean()
         else:
-            state.extend(data[state.t : t])
             np.copyto(gram, state.scatter)
             if centered:
                 outer = np.outer(state.row_sum, state.row_sum)

@@ -807,7 +807,7 @@ def test_split_and_unsplit_give_the_same_rows(tmp_path, monkeypatch, engine, cen
     path = tmp_path / "t.hsmx"
     write_trajectory(path, rows, cols, seed=rows)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "fork_map", lambda job, items, workers: [job(i) for i in items])
+    monkeypatch.setattr(cli, "fork_map", lambda jobs, workers: [job() for job in jobs])
     whole, _ = cli.metric_phase([str(path)], 1, center, engine, fork=False)
     split, report = cli.metric_phase([str(path)], 1, center, engine, fork=True)
     assert report["split"] == 1 and report["jobs"] >= 2
@@ -856,7 +856,7 @@ def test_a_header_that_claims_too_many_rows_is_one_job(tmp_path):
     (tmp_path / "big.hsmx").write_bytes(raw)
     write_trajectory(tmp_path / "good.hsmx", 300, 16, seed=0)
     paths = [str(tmp_path / "big.hsmx"), str(tmp_path / "good.hsmx")]
-    jobs = cli.plan_jobs(paths, 40, Centering.RAW, Engine.FACTOR, cpus=2)
+    jobs = cli.plan_jobs(paths, 40, Centering.RAW, cpus=2)
     assert jobs[0] == (0, None) and [i for i, _ in jobs[1:]] == [1] * (len(jobs) - 1)
     code, _, data, report = worker_counts_agree(["metrics", "--in", tmp_path / "*.hsmx"], tmp_path)
     truncated = "payload holds 8 scalars, header declares 2147483648 (byte offset 92)"
@@ -879,14 +879,14 @@ def sparse_batch(tmp_path, name, lengths, dims, dtype):
 
 
 # Batches shaped as perfbench's workloads at seed 2437: (lengths, D, dtype,
-# engine, centering, which trajectories are cut on 2, 4 and 16 CPUs).
+# centering, which trajectories are cut on 2, 4 and 16 CPUs). The plan does not
+# depend on the engine.
 WORKLOAD_SHAPES = {
     "shape-step": ([407, 241, 228, 185, 179, 152, 148, 128, 125, 108, 105, 90, 87, 71, 68, 45],
-                   4096, "f32", Engine.FACTOR, Centering.RAW, {2: [], 4: [], 16: []}),
-    "metrics-long": ([2569, 1630], 256, "f64", Engine.FACTOR, Centering.RAW,
-                     {2: [0], 4: [0, 1], 16: [0, 1]}),
-    "metrics-stream-centered": ([972, 885], 1024, "f32", Engine.INCREMENTAL_GRAM,
-                                Centering.ROW_MEAN_CENTERED, {2: [0], 4: [0, 1], 16: [0, 1]}),
+                   4096, "f32", Centering.RAW, {2: [], 4: [], 16: []}),
+    "metrics-long": ([2569, 1630], 256, "f64", Centering.RAW, {2: [0], 4: [0, 1], 16: [0, 1]}),
+    "metrics-stream-centered": ([972, 885], 1024, "f32", Centering.ROW_MEAN_CENTERED,
+                                {2: [0], 4: [0, 1], 16: [0, 1]}),
 }
 
 
@@ -895,17 +895,17 @@ WORKLOAD_SHAPES = {
 def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
     # shape-step's row factor costs more than all its solves, so no cut pays
     # for its rebuild on any CPU count.
-    lengths, dims, dtype, engine, center, cut = WORKLOAD_SHAPES[workload]
+    lengths, dims, dtype, center, cut = WORKLOAD_SHAPES[workload]
     paths = sparse_batch(tmp_path, workload, lengths, dims, dtype)
-    jobs = cli.plan_jobs(paths, 40, center, engine, cpus)
-    assert cli.plan_jobs(paths, 40, center, engine, cpus=1) == [(i, None) for i in range(len(paths))]
+    jobs = cli.plan_jobs(paths, 40, center, cpus)
+    assert cli.plan_jobs(paths, 40, center, cpus=1) == [(i, None) for i in range(len(paths))]
     assert sorted({i for i, solve in jobs if solve is not None}) == cut[cpus]
     assert [i for i, _ in jobs] == sorted(i for i, _ in jobs)  # in input order
     assert [i for i, solve in jobs if solve is None] == [i for i in range(len(paths)) if i not in cut[cpus]]
     for index in cut[cpus]:
         ranges = [solve for i, solve in jobs if i == index]
         steps = eval_steps(lengths[index], 40, center)
-        head, build, solve = walk_flops(lengths[index], dims, steps, engine)
+        head, build, solve = walk_flops(lengths[index], dims, steps)
         # Contiguous, latest first, covering every end once, and each range
         # solves more than it rebuilds.
         bounds = [0] + [part.stop for part in reversed(ranges)]
@@ -916,7 +916,7 @@ def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
 
 # Runs body, then checks that no child is left, reaped or not.
 FORK_MAP_PROGRAM = """
-import errno, json, os, sys, time
+import errno, functools, json, os, sys, time
 from rankdyn import cli
 {body}
 try:
@@ -940,7 +940,8 @@ def test_fork_map_keeps_input_order_on_uneven_job_times():
         def nap(seconds):
             time.sleep(seconds)
             return seconds, os.getpid()
-        print(json.dumps([os.getpid(), cli.fork_map(nap, {seconds!r}, 2)]))
+        jobs = [functools.partial(nap, s) for s in {seconds!r}]
+        print(json.dumps([os.getpid(), cli.fork_map(jobs, 2)]))
     """)
     parent, results = json.loads(stdout)
     assert stderr == "" and [s for s, _ in results] == seconds
@@ -954,7 +955,7 @@ def test_fork_map_fails_as_a_dead_worker_when_a_job_raises():
                 raise MemoryError(f"no room for job {i}")
             return i
         try:
-            cli.fork_map(job, list(range(8)), 2)
+            cli.fork_map([functools.partial(job, i) for i in range(8)], 2)
         except cli.WorkerDied as exc:
             print(type(exc).__name__, exc)
     """)
@@ -973,7 +974,7 @@ def test_fork_map_closes_its_pipes_when_fork_fails():
         os.fork = fork_once
         before = len(os.listdir("/proc/self/fd"))
         try:
-            cli.fork_map(abs, [-1, -2, -3], 2)
+            cli.fork_map([functools.partial(abs, i) for i in (-1, -2, -3)], 2)
         except OSError as exc:
             print(errno.errorcode[exc.errno], len(os.listdir("/proc/self/fd")) - before)
     """)

@@ -11,7 +11,7 @@ from rankdyn import (
     prefix_metric_series,
     trajectory_metrics,
 )
-from rankdyn import verify
+from rankdyn import dynamics, verify
 from rankdyn.dynamics import eval_steps, prefix_eranks, walk_flops
 from rankdyn.errors import DegenerateMatrix, TrajectoryTooShort
 from rankdyn.spectral import Centering
@@ -123,18 +123,49 @@ def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
     assert np.concatenate(ranges).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize(
+    "rows,engine,counts",
+    [
+        (20, Engine.FACTOR, {"center": 1, "outer": 0, "row_factor": 1}),
+        (60, Engine.FACTOR, {"center": 0, "outer": 0, "row_factor": 0}),
+        (60, Engine.INCREMENTAL_GRAM, {"center": 0, "outer": 1, "row_factor": 0}),
+    ],
+    ids=["naive-T<D", "naive-T>D", "incremental-T>D"],
+)
+def test_a_late_range_builds_only_the_blocks_it_solves(monkeypatch, rows, engine, counts):
+    # The last end alone: within D the factor engine centers one L block, past
+    # D the Gram engine centers one scatter, and a range with no end within D
+    # needs no row factor. The rows before it are still folded or scattered.
+    calls = dict.fromkeys(counts, 0)
+
+    def count(owner, name):
+        kernel = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(dynamics, "center")
+    count(np, "outer")
+    count(dynamics, "row_factor")
+    centering = Centering.ROW_MEAN_CENTERED
+    data = hard_fixture("power-law", rows, 24, seed=rows).data
+    steps = eval_steps(rows, 5, centering)
+    last = prefix_eranks(data, steps, centering, engine, slice(len(steps), None))
+    assert calls == counts
+    assert last.tobytes() == prefix_eranks(data, steps, centering, engine)[-1:].tobytes()
+
+
 def test_walk_flops_counts_each_kernel():
     # Ends 2, 4 of D = 4 come from the head; 6, 8, 10 fold 6, 2 and 2 rows.
-    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8], Engine.FACTOR)
+    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8])
     assert head == 2 * 4 * 4**2  # the row factor of min(T, D) rows
     assert build.tolist() == [2 * b * 4**2 for b in (0, 0, 6, 2, 2)]
     assert solve.tolist() == [8 / 3 * n**3 for n in (2, 4, 4, 4, 4)]
-    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8], Engine.INCREMENTAL_GRAM)
-    assert head == 4**2 * 4  # the Gram of the rows up to the last end within D
-    assert build.tolist() == [b * 4**2 for b in (0, 0, 6, 2, 2)]
-    assert solve.tolist() == [4 / 3 * n**3 for n in (2, 4, 4, 4, 4)]
     # Every end past D: no head; the first fold takes every row up to it.
-    head, build, _ = walk_flops(10, 4, [6, 8], Engine.FACTOR)
+    head, build, _ = walk_flops(10, 4, [6, 8])
     assert head == 0 and build.tolist() == [2 * b * 4**2 for b in (6, 2, 2)]
 
 
