@@ -409,14 +409,13 @@ def cmd_shape(args: argparse.Namespace) -> int:
     shaping_start = time.perf_counter()
     rows = []
     for entry, reward, a0, values in zip(entries, rewards, base, results):
-        head = [Path(entry.path).stem, entry.group, _fmt(reward), _fmt(a0)]
-        if len(values) == 2:  # (error type name, message): unshaped, the EMA left as is
+        if len(values) == 2:  # (error type name, message): a failed rollout has no metrics
             print("warning: {}: {}: {}".format(entry.path, *values), file=sys.stderr)
-            rows.append(head + [""] * 5 + [_fmt(a0)])
-            continue
-        outcome, state = shape_from_metrics(*values[2:], a0, state, config)
-        shaped = (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi, outcome.a_hat)
-        rows.append(head + [_fmt(v) for v in shaped])
+        metrics = (None, None, None) if len(values) == 2 else values[2:]
+        outcome, state = shape_from_metrics(*metrics, a0, state, config)
+        shaped = (outcome.a0, outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi,
+                  outcome.a_hat)
+        rows.append([Path(entry.path).stem, entry.group, _fmt(reward), *map(_fmt, shaped)])
     report["stage_s"]["shaping"] = time.perf_counter() - shaping_start
     return _finish(args, SHAPE_HEADER, rows, report)
 

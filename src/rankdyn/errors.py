@@ -41,10 +41,6 @@ class TrajectoryTooShort(RankdynError):
     pass
 
 
-class TooFewRows(RankdynError):
-    pass
-
-
 class GroupTooSmall(RankdynError):
     pass
 

@@ -93,7 +93,7 @@ class ShapingConfig:
 
 @dataclass(frozen=True)
 class ShapingOutcome:
-    d0: float
+    d0: float | None
     d1: float | None
     d2: float | None
     beta: float | None
@@ -160,7 +160,7 @@ def rule_reward(is_correct: bool, has_boxed: bool) -> float:
 
 
 def shape_from_metrics(
-    m_er: float,
+    m_er: float | None,
     m_erv: float | None,
     m_era: float | None,
     a0: float,
@@ -171,7 +171,8 @@ def shape_from_metrics(
 
     EMA baselines are updated in the fixed order er, erv, era for whichever
     metrics are defined. When the velocity or acceleration is absent (short
-    trajectory), shaping is skipped entirely and a_hat = a0.
+    trajectory), shaping is skipped entirely and a_hat = a0. A failed rollout
+    (all three None) also has d0 None, and returns the state it was given.
     """
     eps = config.epsilon
     before = state
@@ -180,7 +181,7 @@ def shape_from_metrics(
             state = ema_update(state, k, m)
     basis = before if config.pre_update_deviation else state
 
-    d0 = relative_deviation(m_er, basis.baseline("er", m_er), eps)
+    d0 = None if m_er is None else relative_deviation(m_er, basis.baseline("er", m_er), eps)
     if m_erv is None or m_era is None:
         return ShapingOutcome(d0, None, None, None, None, a0, a0), state
     d1 = relative_deviation(m_erv, basis.baseline("erv", m_erv), eps)

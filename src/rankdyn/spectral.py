@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, TooFewRows
+from .errors import DegenerateMatrix
 from .tensor_io import HiddenStateMatrix
 
 # Relative cutoff for treating a singular value as zero.
@@ -40,8 +40,6 @@ class SpectralSummary:
 def center(data: np.ndarray, centering: Centering) -> np.ndarray:
     if centering is Centering.RAW:
         return data
-    if data.shape[0] < 2:
-        raise TooFewRows("row-mean centering needs at least 2 rows")
     return data - data.mean(axis=0, keepdims=True)
 
 

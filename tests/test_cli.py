@@ -451,7 +451,8 @@ def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
     # It also reads attributes of what the hooks get and return: one traced
     # run of each command must fill the layer counts. At stride 40 the four
     # trajectories have 2, 0, 4 and 2 prefixes; only T = 200 has an ERA, and
-    # its bonus (phi 0.072) passes the clip |a0| / kappa = 0.01.
+    # its bonus (phi 0.072) passes the clip |a0| / kappa = 0.01. The failed
+    # T = 30 rollout is shaped too, as an unshaped outcome.
     manifest = tmp_path / "m.txt"
     for i, rows in enumerate([120, 30, 200, 90]):
         matrix = verify.hard_fixture("gaussian", rows, 16, i)
@@ -472,7 +473,7 @@ def test_perfbench_hooks_resolve(tmp_path, monkeypatch):
     assert metrics["dynamics.prefixes"] == shape["dynamics.prefixes"] == 8
     # One solve per prefix and per final ER; T = 30 has neither.
     assert metrics["gram_stream.eig_calls"] == 8 + 3
-    assert (shape["shaping.shaped"], shape["shaping.skipped"], shape["shaping.clipped"]) == (1, 2, 1)
+    assert (shape["shaping.shaped"], shape["shaping.skipped"], shape["shaping.clipped"]) == (1, 3, 1)
 
 
 def test_inputs_never_mutated(tmp_path):

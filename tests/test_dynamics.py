@@ -252,7 +252,7 @@ def test_factor_engine_errors():
     matrix = hard_fixture("gaussian", 30, 8, seed=0)
     with pytest.raises(TrajectoryTooShort):
         trajectory_metrics(matrix, stride=30)
-    for engine in Engine:  # no one-row centered prefix, so no TooFewRows on either engine
+    for engine in Engine:  # no one-row centered prefix, which is the zero matrix, on either engine
         series = prefix_metric_series(matrix, 1, Centering.ROW_MEAN_CENTERED, engine)
         assert series.eval_steps[:2] == (2, 3)
         for rows in (6, 30):  # T <= D and T > D

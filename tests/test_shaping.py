@@ -186,6 +186,14 @@ def test_short_trajectory_skips_shaping():
     assert state.observations["era"] == 0
 
 
+def test_failed_rollout_is_an_unshaped_outcome():
+    state = EmaState()
+    outcome, after = shape_from_metrics(None, None, None, -0.8, state, ShapingConfig())
+    assert (outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi) == (None,) * 5
+    assert outcome.a_hat == outcome.a0 == -0.8
+    assert after is state
+
+
 def test_shape_trajectory_end_to_end():
     from rankdyn import trajectory_metrics
     from rankdyn.verify import hard_fixture
