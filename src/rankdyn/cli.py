@@ -10,9 +10,9 @@ Manifest format: one record per line, `path,group_id,is_correct(0|1),has_boxed(0
 `#` starts a comment. Floats are rendered with 17 significant digits so CSVs
 round-trip doubles bit-exactly.
 
-`metrics` and `shape` run each trajectory's metrics (`metric_phase`), then
-GRPO, the EMA, shaping and the CSV write in order. Only the program entry
-point `run` forks workers for the metric phase; `main` runs it in-process.
+`metrics` writes each trajectory's metrics (`metric_phase`); `shape` adds
+GRPO, the EMA and shaping. Only the program entry point `run` forks workers
+for the metric phase; `main` runs it in-process.
 """
 
 from __future__ import annotations
@@ -138,14 +138,15 @@ def plan_jobs(paths: list[str], stride: int, centering: Centering,
 
 
 def join_ranges(pieces: list[tuple]) -> tuple:
-    """One trajectory's values from the values of its jobs, latest first:
-    the error of the earliest that failed, else (T, D, er, erv, era) from
-    their ERs in order, as trajectory_metrics gives them."""
+    """One trajectory's row (T, D, er, erv, era, error) from its jobs' values,
+    latest first. error is None and the metrics are those of the ERs in order,
+    as trajectory_metrics gives them, unless a job failed: then each metric is
+    None and error is the earliest failure's (error type name, message)."""
     for values in reversed(pieces):
         if len(values) == 2:
-            return values
+            return None, None, None, None, None, values
     *eranks, final = np.concatenate([values[2] for values in reversed(pieces)])
-    return (*pieces[0][:2], float(final), *differences(eranks))
+    return (*pieces[0][:2], float(final), *differences(eranks), None)
 
 
 CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "quota period" or "max period"
@@ -248,13 +249,13 @@ def fork_map(jobs: list, workers: int) -> list:
 def metric_phase(
     paths: list[str], stride: int, centering: Centering, engine: Engine, fork: bool
 ) -> tuple[list[tuple], dict]:
-    """trajectory_job over every path, in input order, plus its run report.
+    """Each path's row (T, D, er, erv, era, error), in input order, and the run report.
 
     With fork, the jobs of plan_jobs run on one worker per usable CPU and job
     at most (fork_map; a spawned one would import numpy anew). join_ranges
     makes each trajectory's row from its jobs. A bad stride raises before
-    any file is read; a trajectory that fails is an error row
-    (trajectory_job), counted in the report's rows and errors. BLAS runs on
+    any file is read; a trajectory that fails is a row with no metrics and
+    its error set, counted in the report's rows and errors. BLAS runs on
     one thread on every path, so no float depends on the worker count; with
     no known BLAS to pin, all runs in-process.
     """
@@ -279,7 +280,7 @@ def metric_phase(
     for (index, _), (values, _, _) in zip(plan, results):
         pieces[index].append(values)
     rows = [join_ranges(got) for got in pieces]
-    errors = [values[0] for values in rows if len(values) == 2]
+    errors = [row[5][0] for row in rows if row[5]]
     report = {
         "engine": engine.value,
         "workers": workers,
@@ -309,11 +310,12 @@ def _check_paths(args: argparse.Namespace, trajectories: list[str], *inputs: str
     paths = list(filter(None, (args.out, args.stats)))
     read = {Path(path).resolve() for path in [*trajectories, *inputs]}
     for path in paths:
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(f"{path}: no such directory {Path(path).parent}")
+        target = Path(path).resolve()  # where open writes, through any symlink
+        if not target.parent.is_dir():
+            raise FileNotFoundError(f"{path}: no such directory {target.parent}")
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
-        if Path(path).resolve() in read:
+        if target in read:
             raise ValueError(f"{path}: is an input of this run")
     if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
         raise ValueError(f"--out {paths[0]} and --stats {paths[1]} are the same file")
@@ -344,12 +346,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         paths, args.stride, Centering(args.center), Engine(args.engine), args.fork
     )
     rows = []
-    for path, values in zip(paths, results):
-        ident = Path(path).stem
-        if len(values) == 2:  # (error type name, message)
-            rows.append([ident, "", "", "", "", "", "{}: {}".format(*values)])
-        else:
-            rows.append([ident, str(values[0]), str(values[1]), *map(_fmt, values[2:]), ""])
+    for path, row in zip(paths, results):
+        error = "{}: {}".format(*row[5]) if row[5] else ""
+        rows.append([Path(path).stem, *map(_fmt, row[:5]), error])
     return _finish(args, METRICS_HEADER, rows, report)
 
 
@@ -408,11 +407,10 @@ def cmd_shape(args: argparse.Namespace) -> int:
     )
     shaping_start = time.perf_counter()
     rows = []
-    for entry, reward, a0, values in zip(entries, rewards, base, results):
-        if len(values) == 2:  # (error type name, message): a failed rollout has no metrics
-            print("warning: {}: {}: {}".format(entry.path, *values), file=sys.stderr)
-        metrics = (None, None, None) if len(values) == 2 else values[2:]
-        outcome, state = shape_from_metrics(*metrics, a0, state, config)
+    for entry, reward, a0, row in zip(entries, rewards, base, results):
+        if row[5]:  # a failed rollout: its metrics are None
+            print("warning: {}: {}: {}".format(entry.path, *row[5]), file=sys.stderr)
+        outcome, state = shape_from_metrics(*row[2:5], a0, state, config)
         shaped = (outcome.a0, outcome.d0, outcome.d1, outcome.d2, outcome.beta, outcome.phi,
                   outcome.a_hat)
         rows.append([Path(entry.path).stem, entry.group, _fmt(reward), *map(_fmt, shaped)])

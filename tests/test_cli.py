@@ -146,16 +146,20 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["shape", "--manifest", str(missing), "--out", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
-    # An output in a missing directory, an output that is a directory, --out
-    # and --stats naming one file, a non-finite --eps, a --gamma of 1 and a
-    # manifest of comments only all fail before the metric phase runs.
+    # An output in a missing directory, directly or through a symlink, an
+    # output that is a directory, --out and --stats naming one file, a
+    # non-finite --eps, a --gamma of 1 and a manifest of comments only all
+    # fail before the metric phase runs.
     monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
     folder = tmp_path / "d"
     folder.mkdir()
     out = ["--out", str(tmp_path / "m.csv")]
+    link = tmp_path / "link.csv"  # open would write through it into the missing directory
+    link.symlink_to(missing)
     for argv, message in [
         (["shape", "--manifest", str(manifest), "--out", str(missing)], str(missing)),
         (metrics + ["--out", str(missing)], str(missing)),
+        (metrics + ["--out", str(link)], f"{link}: no such directory"),
         (metrics + out + ["--stats", str(missing)], str(missing)),
         (metrics + out + ["--stats", str(folder / ".." / "m.csv")], "are the same file"),
         (metrics + ["--out", str(folder)], f"{folder}: is a directory"),
@@ -683,6 +687,24 @@ def test_shape_keeps_a_failed_rollout_as_a_short_one(tmp_path):
     assert report["rows"] == {"ok": 4, "error": 4}
     assert report["errors"] == {"FileNotFoundError": 1, "FormatError": 1, "MemoryError": 1,
                                 "TrajectoryTooShort": 1}
+
+
+def test_metric_phase_gives_every_trajectory_one_row_shape(tmp_path):
+    # Every trajectory's row is (T, D, er, erv, era, error): a failed one has
+    # no metrics, and its error is the (error type name, message) pair.
+    ok, gone, short = tmp_path / "ok.hsmx", tmp_path / "gone.hsmx", tmp_path / "short.hsmx"
+    write_trajectory(ok, 96, 4, seed=0)
+    write_trajectory(short, 8, 4, seed=1)
+    paths = [str(ok), str(gone), str(short)]
+    rows, report = cli.metric_phase(paths, 8, Centering.RAW, Engine.FACTOR, fork=False)
+    final_er, series = trajectory_metrics(read_matrix(ok), 8)
+    assert rows[0] == (96, 4, final_er, series.velocity, series.acceleration, None)
+    assert [row[:5] for row in rows[1:]] == [(None,) * 5] * 2
+    assert rows[1][5] == ("FileNotFoundError", f"[Errno 2] No such file or directory: '{gone}'")
+    assert rows[2][5] == ("TrajectoryTooShort",
+                          "trajectory of 8 rows yields no eval step at stride 8")
+    assert report["rows"] == {"ok": 1, "error": 2}
+    assert report["errors"] == {"FileNotFoundError": 1, "TrajectoryTooShort": 1}
 
 
 def test_main_keeps_metric_phase_in_process(tmp_path):

@@ -103,6 +103,10 @@ def test_shape_advantage_hand_examples():
     # the smallest subnormal: its rounded cap |a0|/kappa equals |a0|
     assert shape_advantage(-5e-324, 1.0, 1.5) == -5e-324
     assert shape_advantage(-1e-323, 1.0, 1.1) == -5e-324
+    # a negative a0 stays negative only for kappa > 1: at 1 it can reach 0, below 1 flip
+    assert shape_advantage(-0.3, 0.9, 2.0) == -0.15
+    assert shape_advantage(-0.3, 0.9, 1.0) == 0.0
+    assert shape_advantage(-0.3, 0.9, 0.5) == 0.3
 
 
 @settings(max_examples=300, deadline=None)
