@@ -299,25 +299,27 @@ def metric_phase(
 
 
 def _check_paths(args: argparse.Namespace, trajectories: list[str], *inputs: str) -> None:
-    """Fail before the metric phase, writing nothing, if two trajectory files
-    share a stem (their rows' id), an output's directory is missing or it is a
-    directory, --out and --stats are one file, or an output is an input."""
+    """Fail before the metric phase, writing nothing, if two trajectories share
+    a stem (their rows' id), an output is a directory, a symlink loop or in a
+    missing one, --out and --stats are one file, or an output is an input."""
     first: dict[str, str] = {}
     for path in trajectories:
         other = first.setdefault(Path(path).stem, path)
-        if other != path and Path(other).resolve() != Path(path).resolve():
+        if other != path and os.path.realpath(other) != os.path.realpath(path):
             raise ValueError(f"{other} and {path} both have the id {Path(path).stem!r}")
     paths = list(filter(None, (args.out, args.stats)))
-    read = {Path(path).resolve() for path in [*trajectories, *inputs]}
+    read = {Path(os.path.realpath(path)) for path in [*trajectories, *inputs]}
     for path in paths:
-        target = Path(path).resolve()  # where open writes, through any symlink
+        target = Path(os.path.realpath(path))  # where open writes, through any symlink
+        if target.is_symlink():  # realpath leaves a link of a symlink loop unresolved
+            raise OSError(f"{path}: is a symlink loop")
         if not target.parent.is_dir():
             raise FileNotFoundError(f"{path}: no such directory {target.parent}")
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path}: is a directory")
         if target in read:
             raise ValueError(f"{path}: is an input of this run")
-    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
         raise ValueError(f"--out {paths[0]} and --stats {paths[1]} are the same file")
 
 

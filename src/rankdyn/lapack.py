@@ -37,13 +37,18 @@ def openblas() -> tuple[ctypes.CDLL, str] | None:
     return None
 
 
+def symbol(name: str):
+    """The function name of the OpenBLAS that openblas() found, in the
+    spelling found there, or None."""
+    found = openblas()
+    return found and getattr(found[0], found[1].format(name), None)
+
+
 def core_name() -> str | None:
     """The loaded OpenBLAS's kernel set (openblas_get_corename), or None."""
-    found = openblas()
-    if found is None:
+    corename = symbol("openblas_get_corename")
+    if corename is None:
         return None
-    lib, spelling = found
-    corename = getattr(lib, spelling.format("openblas_get_corename"))
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
 
@@ -52,13 +57,10 @@ def core_name() -> str | None:
 def single_threaded_blas():
     """Pin the loaded OpenBLAS to one thread, and restore its old count on
     exit. Yields False, pinning nothing, when none is found."""
-    found = openblas()
-    if found is None:
+    setter, getter = (symbol(f"openblas_{op}_num_threads") for op in ("set", "get"))
+    if setter is None:  # openblas() finds both or neither
         yield False
         return
-    lib, spelling = found
-    setter, getter = (getattr(lib, spelling.format(f"openblas_{op}_num_threads"))
-                      for op in ("set", "get"))
     setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
     old = getter()
     setter(1)
@@ -81,15 +83,10 @@ def _bind(names: tuple[str, ...], argtypes) -> tuple | None:
     argtypes(integer, c_order, f_order) and raising on a nonzero info; None
     unless it has them all. The two orders are float64 array types that hold
     each matrix to the memory order the kernel reads."""
-    found = openblas()
-    if found is None:
+    kernels = tuple(symbol(f"LAPACKE_{name}") for name in names)
+    if None in kernels:
         return None
-    lib, spelling = found
-    try:
-        kernels = tuple(getattr(lib, spelling.format(f"LAPACKE_{name}")) for name in names)
-    except AttributeError:
-        return None
-    integer = ctypes.c_int64 if spelling.endswith("64_") else ctypes.c_int
+    integer = ctypes.c_int64 if openblas()[1].endswith("64_") else ctypes.c_int
     orders = (np.ctypeslib.ndpointer(np.float64, flags=f"{order},WRITEABLE") for order in "CF")
     for kernel, types in zip(kernels, argtypes(integer, *orders)):
         kernel.argtypes, kernel.restype, kernel.errcheck = types, integer, _raise_on_info

@@ -98,16 +98,20 @@ def test_metrics_bad_file_reported_not_fatal(tmp_path):
 
 
 def test_metrics_unreadable_file_reported_not_fatal(tmp_path):
-    # a glob match that is a directory, and one that is a dangling link
+    # a glob match that is a directory, one that is a dangling link and one
+    # that is a symlink loop
     write_trajectory(tmp_path / "a.hsmx", 96, 4, seed=0)
     (tmp_path / "b.hsmx").mkdir()
     (tmp_path / "c.hsmx").symlink_to(tmp_path / "gone.hsmx")
+    (tmp_path / "d.hsmx").symlink_to(tmp_path / "d.hsmx")
     out = tmp_path / "m.csv"
     assert main(["metrics", "--in", str(tmp_path / "*.hsmx"), "--out", str(out)]) == 0
     errors = [row[6] for row in read_csv(out)[1:]]
     assert errors[0] == ""
     assert errors[1].startswith("IsADirectoryError: ") and str(tmp_path / "b.hsmx") in errors[1]
     assert errors[2].startswith("FileNotFoundError: ") and str(tmp_path / "c.hsmx") in errors[2]
+    loop = f"OSError: [Errno 40] Too many levels of symbolic links: '{tmp_path / 'd.hsmx'}'"
+    assert errors[3] == loop
 
 
 @pytest.mark.parametrize("center", ["raw", "rowmean"])
@@ -147,16 +151,20 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     # An output in a missing directory, directly or through a symlink, an
-    # output that is a directory, --out and --stats naming one file, a
-    # non-finite --eps, a --gamma of 1 and a manifest of comments only all
-    # fail before the metric phase runs.
+    # output that is a directory or a symlink loop, --out and --stats naming
+    # one file, a non-finite --eps, a --gamma of 1 and a manifest of comments
+    # only all fail before the metric phase runs.
     monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
     folder = tmp_path / "d"
     folder.mkdir()
     out = ["--out", str(tmp_path / "m.csv")]
     link = tmp_path / "link.csv"  # open would write through it into the missing directory
     link.symlink_to(missing)
+    loop = tmp_path / "loop.csv"
+    loop.symlink_to(loop)
     for argv, message in [
+        (metrics + ["--out", str(loop)], f"{loop}: is a symlink loop"),
+        (metrics + out + ["--stats", str(loop)], f"{loop}: is a symlink loop"),
         (["shape", "--manifest", str(manifest), "--out", str(missing)], str(missing)),
         (metrics + ["--out", str(missing)], str(missing)),
         (metrics + ["--out", str(link)], f"{link}: no such directory"),

@@ -31,6 +31,33 @@ def test_kernels_resolve_on_loaded_openblas():
     assert lapack.qr_kernels() is not None
 
 
+@pytest.mark.skipif(lapack.openblas() is None, reason="no OpenBLAS to pin")
+def test_single_threaded_blas_restores_the_callers_count():
+    setter, getter = (lapack.symbol(f"openblas_{op}_num_threads") for op in ("set", "get"))
+    old = getter()
+    try:
+        setter(2)
+        with pytest.raises(KeyError), lapack.single_threaded_blas() as pinned:
+            assert pinned and getter() == 1
+            raise KeyError
+        assert getter() == 2
+    finally:
+        setter(old)
+
+
+def test_no_openblas_pins_nothing_and_binds_nothing(monkeypatch):
+    monkeypatch.setattr(lapack, "openblas", lambda: None)
+    with lapack.single_threaded_blas() as pinned:
+        assert pinned is False
+    assert lapack.core_name() is None
+    assert lapack._bind(("dgeqrt",), lambda *types: ([],)) is None
+
+
+@pytest.mark.skipif(lapack.qr_kernels() is None, reason="no LAPACK QR kernels")
+def test_bind_needs_every_kernel():
+    assert lapack._bind(("dgeqrt", "no_such_kernel"), lambda *types: ([], [])) is None
+
+
 @pytest.mark.skipif(lapack.qr_kernels() is None, reason="no LAPACK QR kernels")
 def test_kernel_misuse_raises():
     geqrt = lapack.qr_kernels()[0]
@@ -103,8 +130,7 @@ def dynamic_arch_openblas() -> bool:
     load time, which OPENBLAS_CORETYPE can then force."""
     if sys.platform != "linux" or platform.machine() != "x86_64" or lapack.openblas() is None:
         return False
-    lib, spelling = lapack.openblas()
-    config = getattr(lib, spelling.format("openblas_get_config"))
+    config = lapack.symbol("openblas_get_config")
     config.restype = ctypes.c_char_p
     return b"DYNAMIC_ARCH" in config()
 
