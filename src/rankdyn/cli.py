@@ -384,7 +384,7 @@ def cmd_shape(args: argparse.Namespace) -> int:
         pre_update_deviation=args.pre_update_deviation,
     )
     # EMA baselines evolve in manifest order across the whole run.
-    state = EmaState(gamma=args.gamma, literal_zero_init=args.literal_ema_init)
+    state = EmaState(gamma=args.gamma)
     entries = read_manifest(args.manifest)
     paths = [e.path for e in entries]
     _check_paths(args, paths, args.manifest)
@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=EmaState.gamma)
     p.add_argument("--eps", type=float, default=ShapingConfig.epsilon)
     p.add_argument("--group-size", type=int, default=None)
-    p.add_argument("--literal-ema-init", action="store_true")
     p.add_argument("--pre-update-deviation", action="store_true")
     add_metric_flags(p)
     p.set_defaults(func=cmd_shape)

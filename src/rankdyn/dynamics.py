@@ -9,8 +9,10 @@ earlier values:
 
 The velocity is the mean of the deltas (defined iff K >= 2) and the
 acceleration is the mean of consecutive delta differences (defined iff
-K >= 3). For the exactly linear series m_n = n these reduce to (N+2)/4 and
-1/2 respectively.
+K >= 3). That mean telescopes to (delta_K - delta_2) / (K - 2), so the
+acceleration reads m_1, m_2, m_K and only the mean of the values between.
+For the exactly linear series m_n = n these reduce to (K+2)/4 and 1/2
+respectively.
 """
 
 from __future__ import annotations

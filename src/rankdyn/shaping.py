@@ -31,31 +31,27 @@ METRICS = ("er", "erv", "era")
 
 @dataclass(frozen=True)
 class EmaState:
-    """Per-metric exponential moving averages with warm-up tracking.
+    """Per-metric exponential moving averages, each None until first observed.
 
     An immutable value: ema_update and shape_from_metrics return the next
-    state. By default the first observation seeds the baseline (so the first
-    deviation is exactly 0). With literal_zero_init the baselines start at 0
-    and every observation applies the gamma blend, which makes the very
-    first deviation m/eps -- kept behind a flag for fidelity studies.
+    state, and EmaState(gamma, means) resumes a run from its means. A metric's
+    first observation seeds its baseline, so its first deviation is exactly 0.
     """
 
     gamma: float = 0.9
-    literal_zero_init: bool = False
-    means: dict[str, float] = field(default_factory=lambda: dict.fromkeys(METRICS, 0.0))
-    observations: dict[str, int] = field(default_factory=lambda: dict.fromkeys(METRICS, 0))
+    means: dict[str, float | None] = field(default_factory=lambda: dict.fromkeys(METRICS))
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-
-    def seeds(self, metric: str) -> bool:
-        """Whether the next observation of metric becomes its baseline as is."""
-        return self.observations[metric] == 0 and not self.literal_zero_init
+        if self.means.keys() != set(METRICS):
+            raise ValueError(f"EMA means must have exactly the keys {', '.join(METRICS)}")
+        if not all(mean is None or math.isfinite(mean) for mean in self.means.values()):
+            raise ValueError("EMA means must be None or finite")
 
     def baseline(self, metric: str, m: float) -> float:
         """The baseline an observation m is measured against."""
-        return m if self.seeds(metric) else self.means[metric]
+        return m if self.means[metric] is None else self.means[metric]
 
 
 def ema_update(state: EmaState, metric: str, m: float) -> EmaState:
@@ -65,12 +61,9 @@ def ema_update(state: EmaState, metric: str, m: float) -> EmaState:
     if not math.isfinite(m):
         raise ValueError("EMA observation must be finite")
     g = state.gamma
-    mean = m if state.seeds(metric) else g * state.means[metric] + (1.0 - g) * m
-    return replace(
-        state,
-        means={**state.means, metric: mean},
-        observations={**state.observations, metric: state.observations[metric] + 1},
-    )
+    mean = state.means[metric]
+    mean = m if mean is None else g * mean + (1.0 - g) * m
+    return replace(state, means={**state.means, metric: mean})
 
 
 def require_positive_finite(name: str, value: float) -> None:
@@ -80,7 +73,7 @@ def require_positive_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ShapingConfig:
-    """Shaping settings; the EMA's gamma and zero-init flag live on EmaState."""
+    """Shaping settings; the EMA's gamma lives on EmaState."""
 
     kappa: float = 2.0
     epsilon: float = 1e-8

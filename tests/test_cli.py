@@ -347,11 +347,10 @@ def test_shape_short_rollout_skipped_not_fatal(tmp_path):
     assert rows[3][4:] == [format(v, ".17g") for v in shaped]
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["warm-init", "literal-init"])
 @pytest.mark.parametrize("pre_update", [False, True], ids=["post-update", "pre-update"])
-def test_shape_switches_match_the_library(tmp_path, literal, pre_update):
-    # Each switch combination gives the library's shaping of the same metrics,
-    # and no two combinations give the same CSV.
+def test_shape_switches_match_the_library(tmp_path, pre_update):
+    # Each deviation ordering gives the library's shaping of the same metrics,
+    # and the two orderings give different CSVs.
     lines = []
     for i, rows in enumerate([96, 160, 128]):
         write_trajectory(tmp_path / f"t{i}.hsmx", rows, 8, seed=i)
@@ -359,17 +358,14 @@ def test_shape_switches_match_the_library(tmp_path, literal, pre_update):
     manifest = tmp_path / "m.txt"
     manifest.write_text("\n".join(lines) + "\n")
     csvs = {}
-    for flags in ([], ["--literal-ema-init"], ["--pre-update-deviation"],
-                  ["--literal-ema-init", "--pre-update-deviation"]):
+    for flags in ([], ["--pre-update-deviation"]):
         out = tmp_path / f"s{len(csvs)}.csv"
         assert main(["shape", "--manifest", str(manifest), "--out", str(out), "--stride", "8",
                      *flags]) == 0
-        csvs[tuple(flags)] = out.read_bytes()
-    assert len(set(csvs.values())) == 4
-    switches = (["--literal-ema-init"] if literal else []) + (
-        ["--pre-update-deviation"] if pre_update else [])
-    rows = list(csv.reader(csvs[tuple(switches)].decode().splitlines()))[1:]
-    state = EmaState(literal_zero_init=literal)
+        csvs[bool(flags)] = out.read_bytes()
+    assert csvs[False] != csvs[True]
+    rows = list(csv.reader(csvs[pre_update].decode().splitlines()))[1:]
+    state = EmaState()
     config = ShapingConfig(pre_update_deviation=pre_update)
     for i, row in enumerate(rows):
         final_er, series = trajectory_metrics(read_matrix(tmp_path / f"t{i}.hsmx"), 8)

@@ -50,6 +50,13 @@ def test_differences_match_a_loop(k):
     for g, w in zip(got, want):
         if w is not None:
             assert type(g) is float and abs(g - w) < 1e-12
+    if k >= 3:
+        # ERA telescopes to (delta_K - delta_2) / (K - 2), so it reads m_1, m_2,
+        # m_K and only the mean of the values between.
+        deltas = [values[j] - values[:j].mean() for j in range(1, k)]
+        assert abs(got[1] - (deltas[-1] - deltas[0]) / (k - 2)) < 1e-12
+        middle_reversed = np.concatenate([values[:2], values[2:-1][::-1], values[-1:]])
+        assert abs(differences(middle_reversed)[1] - got[1]) < 1e-12
 
 
 def test_first_order_hand_example():
@@ -60,6 +67,8 @@ def test_first_order_hand_example():
 def test_second_order_hand_example():
     # deltas [1, 2.5, 8/3]
     assert differences([2.0, 3.0, 5.0, 6.0])[1] == pytest.approx(5.0 / 6.0)
+    # deltas [1, 2.5, 14/3]
+    assert differences([1.0, 2.0, 4.0, 7.0])[1] == pytest.approx(11.0 / 6.0)
 
 
 def test_constant_series_is_flat():

@@ -1,14 +1,16 @@
-"""The README's Library example runs as written, and its CLI section names
-every flag and every `--stats` key."""
+"""The README's Library example runs as written, its Library section names
+every shaping field, and its CLI section names every flag and every `--stats`
+key."""
 
 import argparse
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from rankdyn import verify, write_matrix
+from rankdyn import EmaState, ShapingConfig, verify, write_matrix
 from rankdyn.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,6 +28,12 @@ def library_example() -> str:
 def test_library_example_runs(capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_readme_names_every_shaping_field():
+    text = section("Library")
+    names = [f.name for cls in (EmaState, ShapingConfig) for f in fields(cls)]
+    assert [name for name in names if f"`{name}`" not in text] == []
 
 
 def test_cli_synopsis_lists_every_flag():

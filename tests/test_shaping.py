@@ -52,19 +52,13 @@ def test_ema_geometric_convergence():
     assert all(r == pytest.approx(0.9, rel=1e-9) for r in ratios)
 
 
-def test_ema_literal_zero_init():
-    state = EmaState(gamma=0.9, literal_zero_init=True)
-    state = ema_update(state, "er", 2.0)
-    assert state.means["er"] == pytest.approx(0.2, rel=1e-12)
-
-
 def test_ema_state_is_immutable():
     state = EmaState()
     with pytest.raises(FrozenInstanceError):
         state.gamma = 0.5
     updated = ema_update(state, "er", 2.0)
-    assert state.means["er"] == 0.0 and state.observations["er"] == 0
-    assert updated.means["er"] == 2.0 and updated.observations["er"] == 1
+    assert state.means["er"] is None
+    assert updated.means["er"] == 2.0
 
 
 def test_ema_update_rejects_an_unknown_metric_or_a_nonfinite_observation():
@@ -145,6 +139,7 @@ def test_grpo_group_advantage():
 def test_shaping_config_holds_only_shaping_settings():
     # Stride, centering and engine are arguments of trajectory_metrics.
     assert [f.name for f in fields(ShapingConfig)] == ["kappa", "epsilon", "pre_update_deviation"]
+    assert [f.name for f in fields(EmaState)] == ["gamma", "means"]
     with pytest.raises(TypeError):
         ShapingConfig(stride=8)
 
@@ -187,7 +182,7 @@ def test_short_trajectory_skips_shaping():
     assert outcome.d1 is None and outcome.d2 is None and outcome.beta is None
     # metrics that do exist still feed the EMA
     assert state.means["er"] == 10.0 and state.means["erv"] == 1.0
-    assert state.observations["era"] == 0
+    assert state.means["era"] is None
 
 
 def test_failed_rollout_is_an_unshaped_outcome():
@@ -213,17 +208,19 @@ def test_shape_trajectory_end_to_end():
         assert outcome.shaped
         assert outcome.a0 == a0
         assert 0.0 <= outcome.a_hat - a0 <= abs(a0) / config.kappa
-    assert state.observations == {"er": 2, "erv": 2, "era": 2}
+    assert all(type(mean) is float for mean in state.means.values())
+
+
+ROLLOUTS = [(10.0, 1.0, 0.5), (12.0, 1.4, 0.7), (9.0, 0.2, -0.1)]
 
 
 def test_ema_sequence_determinism():
     config = ShapingConfig()
-    metrics = [(10.0, 1.0, 0.5), (12.0, 1.4, 0.7), (9.0, 0.2, -0.1)]
 
     def run():
         state = EmaState()
         trace = []
-        for m_er, m_erv, m_era in metrics:
+        for m_er, m_erv, m_era in ROLLOUTS:
             out, state = shape_from_metrics(m_er, m_erv, m_era, 1.0, state, config)
             trace.append((out.a_hat, dict(state.means)))
         return trace
@@ -231,35 +228,32 @@ def test_ema_sequence_determinism():
     assert run() == run()
 
 
-EPS = ShapingConfig().epsilon
+@pytest.mark.parametrize("pre_update", [False, True], ids=["post-update", "pre-update"])
+def test_state_rebuilt_from_its_means_resumes(pre_update):
+    # A state saved as gamma and its means shapes the next rollout as the
+    # state it was saved from does, seeded baselines included.
+    config = ShapingConfig(pre_update_deviation=pre_update)
+    state = EmaState()
+    for metrics in ROLLOUTS[:2]:
+        _, state = shape_from_metrics(*metrics, 1.0, state, config)
+    rebuilt = EmaState(state.gamma, dict(state.means))
+    resumed = shape_from_metrics(*ROLLOUTS[2], 1.0, rebuilt, config)
+    original = shape_from_metrics(*ROLLOUTS[2], 1.0, state, config)
+    assert resumed == original
+    assert original[0].d0 < -0.1
 
 
 @pytest.mark.parametrize(
-    "pre_update, expected_d",
-    [
-        # against the updated baselines: 0.1 * (10, 1, 0.5), then
-        # 0.9 * (1, 0.1, 0.05) + 0.1 * (12, 1.4, 0.7) = (2.1, 0.23, 0.115)
-        (False, [(9 / (1 + EPS), 0.9 / (0.1 + EPS), 0.45 / (0.05 + EPS)),
-                 (9.9 / (2.1 + EPS), 1.17 / (0.23 + EPS), 0.585 / (0.115 + EPS))]),
-        # against the baselines before each update: 0, then (1, 0.1, 0.05)
-        (True, [(10 / EPS, 1 / EPS, 0.5 / EPS),
-                (11 / (1 + EPS), 1.3 / (0.1 + EPS), 0.65 / (0.05 + EPS))]),
-    ],
-    ids=["post-update", "pre-update"],
+    "means, message",
+    [({"er": 1.0, "erv": 1.0}, "exactly the keys er, erv, era"),
+     ({"er": 1.0, "erv": 1.0, "era": 1.0, "loss": 1.0}, "exactly the keys er, erv, era"),
+     ({"er": math.nan, "erv": None, "era": None}, "None or finite"),
+     ({"er": 1.0, "erv": None, "era": -math.inf}, "None or finite")],
+    ids=["missing", "extra", "nan", "inf"],
 )
-def test_literal_zero_init_two_rollout_trace(pre_update, expected_d):
-    config = ShapingConfig(kappa=2.0, pre_update_deviation=pre_update)
-    state = EmaState(gamma=0.9, literal_zero_init=True)
-    rollouts = [((10.0, 1.0, 0.5), 0.8, 1.2), ((12.0, 1.4, 0.7), -0.4, -0.2)]
-    for (metrics, a0, a_hat), (d0, d1, d2) in zip(rollouts, expected_d):
-        out, state = shape_from_metrics(*metrics, a0, state, config)
-        assert (out.d0, out.d1, out.d2) == pytest.approx((d0, d1, d2), rel=1e-9)
-        beta = 1.0 / (1.0 + math.exp(-d2))
-        assert out.beta == pytest.approx(beta, rel=1e-12)
-        phi = beta * math.tanh(d0) + (1.0 - beta) * math.tanh(d1)
-        assert out.phi == pytest.approx(phi, rel=1e-12)
-        assert out.a_hat == pytest.approx(a_hat, abs=1e-12)  # bonus clipped at |a0| / 2
-    assert state.means == pytest.approx({"er": 2.1, "erv": 0.23, "era": 0.115}, abs=1e-12)
+def test_ema_state_rejects_malformed_means(means, message):
+    with pytest.raises(ValueError, match=f"EMA means must .*{message}"):
+        EmaState(0.9, means)
 
 
 def test_era_baseline_near_zero_saturates_beta():
