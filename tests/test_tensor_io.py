@@ -1,11 +1,13 @@
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankdyn import HiddenStateMatrix, read_matrix, write_matrix
+from rankdyn import HiddenStateMatrix, read_matrix, tensor_io, write_matrix
 from rankdyn.errors import (
     BadMagic,
     DimensionMismatch,
@@ -14,7 +16,7 @@ from rankdyn.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rankdyn.tensor_io import HEADER_SIZE, read_header
+from rankdyn.tensor_io import DTYPES, HEADER_SIZE, read_header
 from rankdyn.verify import FIXTURES, hard_fixture, orthogonal_rows
 
 
@@ -135,6 +137,21 @@ def test_truncated_payload(tmp_path):
     assert exc.value.offset == 20
 
 
+def test_payload_cut_short_after_its_size_was_read(tmp_path, monkeypatch):
+    # os.fstat reports the declared size, as it would had the file been cut after it.
+    path = tmp_path / "m.hsmx"
+    write_matrix(HiddenStateMatrix(np.ones((4, 4))), path)
+    declared = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedPayload) as honest:
+        read_matrix(path)
+    with monkeypatch.context() as patch, pytest.raises(TruncatedPayload) as cut:
+        patch.setattr(tensor_io.os, "fstat", lambda fd: SimpleNamespace(st_size=declared))
+        read_matrix(path)
+    assert cut.value.offset == honest.value.offset == declared - 1
+    assert str(cut.value) == str(honest.value)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.hsmx"
     write_matrix(HiddenStateMatrix(np.ones((4, 4))), path, dtype="f32")
@@ -202,15 +219,37 @@ def test_read_header_checks_as_read_matrix_does(tmp_path, fault):
     assert (type(header.value), str(header.value)) == (type(whole.value), str(whole.value))
 
 
-def test_non_finite_payload(tmp_path):
+# NaN and +inf reach a payload's max, NaN and -inf its min.
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("at", ["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_payload(tmp_path, value, at, dtype):
     path = tmp_path / "m.hsmx"
-    write_matrix(HiddenStateMatrix(np.ones((2, 2))), path)
+    write_matrix(HiddenStateMatrix(np.ones((2, 3))), path, dtype)
     raw = bytearray(path.read_bytes())
-    raw[HEADER_SIZE + 8 : HEADER_SIZE + 16] = np.float64("nan").tobytes()
+    scalar = np.array(value, dtype=DTYPES[dtype]).tobytes()
+    offset = HEADER_SIZE if at == "first" else len(raw) - len(scalar)
+    raw[offset : offset + len(scalar)] = scalar
     path.write_bytes(raw)
     with pytest.raises(NonFiniteValue) as exc:
         read_matrix(path)
-    assert exc.value.offset == HEADER_SIZE + 8
+    assert exc.value.offset == offset
+
+
+def test_read_matrix_holds_one_float64_copy(tmp_path):
+    # An f64 payload is read into the array read_matrix returns; an f32 payload
+    # is read (half that array's size) and then widened into it.
+    data = np.random.default_rng(0).standard_normal((1024, 1024))
+    for dtype, rows, bound in [("f64", 512, 1.1), ("f32", 1024, 1.55)]:
+        path = tmp_path / f"{dtype}.hsmx"
+        write_matrix(HiddenStateMatrix(data[:rows]), path, dtype)  # a 4 MiB payload
+        tracemalloc.start()
+        try:
+            matrix = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * matrix.data.nbytes, (dtype, peak / matrix.data.nbytes)
 
 
 def test_in_memory_non_finite_names_no_offset():
