@@ -18,7 +18,6 @@ respectively.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -79,10 +78,10 @@ def differences(values: np.ndarray) -> tuple[float | None, float | None]:
     return float(deltas.mean()), acceleration
 
 
-def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering,
-                  first: int) -> Iterator[np.ndarray]:
-    """Per end t from ends[first] on, a matrix with the singular values of the
-    prefix data[:t], centered in centered mode, from small triangular factors.
+def factor_eranks(data: np.ndarray, ends: list[int], centering: Centering,
+                  first: int, stop: int) -> Iterator[float]:
+    """The effective rank of each prefix data[:t], t in ends[first:stop],
+    centered in centered mode, from the SVD of a small triangular factor.
 
     Prefixes with t <= D: one QR of data[:m].T gives a lower-triangular L
     with data[:m] = L Q^T, so data[:t] has the singular values of L[:t, :t].
@@ -96,7 +95,8 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering,
     keep the accuracy of an SVD of each prefix.
 
     Both QRs are `lapack.row_factor` and `lapack.fold_rows`, the latter on an
-    R that starts at zero. Every chunk is folded, yielded or not.
+    R that starts at zero. Every chunk to the last end solved is folded, solved
+    or not.
     """
     rows, dims = data.shape
     if ends[first] <= dims:
@@ -104,7 +104,7 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering,
     if rows > dims:
         factor = np.zeros((dims, dims), order="F")
     count, mean = 0, np.zeros(dims)
-    for index, t in enumerate(ends):
+    for index, t in enumerate(ends[:stop]):
         if t > dims:
             chunk = data[count:t]
             if centering is Centering.ROW_MEAN_CENTERED:
@@ -116,7 +116,9 @@ def factor_blocks(data: np.ndarray, ends: list[int], centering: Centering,
             fold_rows(factor, chunk)
             count = t
         if index >= first:
-            yield center(lower[:t, :t], centering) if t <= dims else factor
+            block = center(lower[:t, :t], centering) if t <= dims else factor
+            sigma = np.linalg.svd(block, compute_uv=False)
+            yield summary_from_singular_values(sigma).effective_rank
 
 
 def prefix_eranks(
@@ -124,21 +126,18 @@ def prefix_eranks(
     solve: slice = slice(None),
 ) -> np.ndarray:
     """Effective rank of each prefix data[:t], t in the increasing ends: the
-    steps, then t = T for the final ER. Only ends[solve] are solved: the engine
-    takes in every row before them but yields no earlier block, and the walk
-    stops after the last end solved. Centered mode first shifts the rows by the
-    mean of the first eval prefix (`spectral.shifted`). Each engine yields one
-    matrix per end, solved here before the engine resumes and may overwrite it."""
+    steps, then t = T for the final ER. Only ends[solve], a range of step 1,
+    are solved, each by the engine that builds it, which takes in every row
+    up to the last of them but builds no block before the first. Centered mode
+    first shifts the rows by the mean of the first eval prefix (`spectral.shifted`)."""
     ends = [*steps, data.shape[0]]
-    start, stop, _ = solve.indices(len(ends))
-    build = gram_stream.gram_blocks if engine is Engine.INCREMENTAL_GRAM else factor_blocks
-    blocks = build(shifted(data, steps, centering), ends, centering, start)
-    blocks = itertools.islice(blocks, max(stop - start, 0))
-    if engine is Engine.INCREMENTAL_GRAM:
-        # Looked up on its module at each call: perfbench wraps it there.
-        return np.array([gram_stream.erank_from_gram(gram) for gram in blocks])
-    sigmas = (np.linalg.svd(block, compute_uv=False) for block in blocks)
-    return np.array([summary_from_singular_values(s).effective_rank for s in sigmas])
+    start, stop, step = solve.indices(len(ends))
+    if step != 1:
+        raise ValueError(f"solve must be a range of step 1, not {step}")
+    if start >= stop:
+        return np.zeros(0)
+    walk = gram_stream.gram_eranks if engine is Engine.INCREMENTAL_GRAM else factor_eranks
+    return np.array(list(walk(shifted(data, steps, centering), ends, centering, start, stop)))
 
 
 def walk_flops(rows: int, dims: int, steps: list[int]) -> tuple[float, np.ndarray, np.ndarray]:

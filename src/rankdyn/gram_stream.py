@@ -57,14 +57,14 @@ def erank_from_gram(gram: np.ndarray) -> float:
     return summary_from_singular_values(np.sqrt(eigvals)).effective_rank
 
 
-def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering,
-                first: int) -> Iterator[np.ndarray]:
-    """Per end t from ends[first] on, the Gram matrix of the prefix data[:t],
-    centered in centered mode, built and centered in place in one F-ordered
-    buffer. Every row past D is scattered, yielded or not."""
+def gram_eranks(data: np.ndarray, ends: list[int], centering: Centering,
+                first: int, stop: int) -> Iterator[float]:
+    """The effective rank of each prefix data[:t], t in ends[first:stop], from
+    its Gram matrix, centered in centered mode, built and solved in place in one
+    F-ordered buffer. Every row to the last end solved is scattered, solved or not."""
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
-    # Up to every end within D, so a range keeps the whole walk's bits; none if none is yielded.
+    # Up to every end within D, so a range keeps the whole walk's bits; none if none is solved.
     within = [t for t in ends if t <= dims] if ends[first] <= dims else []
     head = data[: max(within, default=0)]
     head_gram = head @ head.T
@@ -74,7 +74,7 @@ def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering,
     symmetric = np.array_equal(head_gram, head_gram.T)
     buffer = np.empty(min(rows, dims) ** 2)
     state = GramStreamState(dims)
-    for index, t in enumerate(ends):
+    for index, t in enumerate(ends[:stop]):
         if t > dims:
             state.extend(data[state.t : t])
         if index < first:
@@ -95,4 +95,4 @@ def gram_blocks(data: np.ndarray, ends: list[int], centering: Centering,
                 outer = np.outer(state.row_sum, state.row_sum)
                 outer /= t
                 gram -= outer
-        yield gram
+        yield erank_from_gram(gram)

@@ -842,31 +842,32 @@ def test_split_and_unsplit_give_the_same_rows(tmp_path, monkeypatch, engine, cen
 
 
 # The solve of a T <= D prefix of any of the lengths fail_at raises a
-# LinAlgError that names the length.
+# LinAlgError that names the length, on the engine whose module is patched.
 FAILING_SOLVE_CLI = """
 from numpy.linalg import LinAlgError
-from rankdyn import cli, dynamics
+from rankdyn import cli, {module}
 
-summary = dynamics.summary_from_singular_values
+summary = {module}.summary_from_singular_values
 
 def failing(sigma):
     if len(sigma) in {fail_at!r}:
         raise LinAlgError(f"SVD did not converge at t={{len(sigma)}}")
     return summary(sigma)
 
-dynamics.summary_from_singular_values = failing
+{module}.summary_from_singular_values = failing
 cli.run()
 """
 
 
 @needs_two_workers
-def test_a_split_trajectory_keeps_the_error_of_its_earliest_failing_end(tmp_path):
+@pytest.mark.parametrize("engine,module", [("naive", "dynamics"), ("incremental", "gram_stream")])
+def test_a_split_trajectory_keeps_the_error_of_its_earliest_failing_end(tmp_path, engine, module):
     # Ends 64 and 192 of 200 fall in the earliest and the latest range, and the
     # unsplit walk stops at 64.
     batch = write_batch(tmp_path, [200], cols=256)
-    program = ("-c", FAILING_SOLVE_CLI.format(fail_at=(64, 192)))
+    program = ("-c", FAILING_SOLVE_CLI.format(module=module, fail_at=(64, 192)))
     code, stderr, data, report = worker_counts_agree(
-        ["metrics", "--in", batch, "--stride", "8"], tmp_path, program=program
+        ["metrics", "--in", batch, "--stride", "8", "--engine", engine], tmp_path, program=program
     )
     assert (code, stderr, report["split"]) == (0, "", 1)
     assert data.decode().splitlines()[1] == "t00,,,,,,LinAlgError: SVD did not converge at t=64"

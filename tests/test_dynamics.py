@@ -132,6 +132,20 @@ def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
     assert np.concatenate(ranges).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("engine", Engine)
+def test_a_stepped_solve_range_is_refused(engine):
+    # A step would pick every second end, and the walk solves contiguous
+    # ranges only; an empty range solves nothing.
+    data = hard_fixture("gaussian", 100, 8, seed=0).data
+    steps = eval_steps(100, 10)
+    with pytest.raises(ValueError, match="step 1, not 2"):
+        prefix_eranks(data, steps, Centering.RAW, engine, slice(None, None, 2))
+    whole = prefix_eranks(data, steps, Centering.RAW, engine, slice(None, None, 1))
+    assert whole.size == len(steps) + 1
+    for empty in (slice(3, 3), slice(5, 2), slice(len(steps) + 1, None)):
+        assert prefix_eranks(data, steps, Centering.RAW, engine, empty).shape == (0,)
+
+
 @pytest.mark.parametrize(
     "rows,engine,counts",
     [

@@ -168,20 +168,33 @@ def gram_prefix_eranks_with_temporaries(data, steps, centering):
     return np.array(eranks)
 
 
-# (T, D, stride): T < D, T = D and T > D, at stride 1 and at strides that leave a tail.
-IN_PLACE_SHAPES = [(17, 24, 1), (17, 24, 5), (24, 24, 1), (24, 24, 5), (64, 24, 1), (61, 24, 8)]
+# (T, D, stride, column step): T < D, T = D and T > D, at stride 1 and at
+# strides that leave a tail. The last takes every second column of a wider
+# fixture: in raw mode the engine gets those strided rows, whose head Gram
+# numpy forms without syrk, so it is not exactly symmetric.
+IN_PLACE_SHAPES = [
+    (17, 24, 1, 1), (17, 24, 5, 1), (24, 24, 1, 1), (24, 24, 5, 1), (64, 24, 1, 1),
+    (61, 24, 8, 1), (130, 200, 7, 2),
+]
 
 
 @pytest.mark.parametrize("kernel", ["dsyevd", "numpy"])
 @pytest.mark.parametrize("centering", Centering)
 @pytest.mark.parametrize("shape", IN_PLACE_SHAPES)
 def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
-    rows, dims, stride = shape
+    rows, dims, stride, step = shape
     steps = eval_steps(rows, stride, centering)
     if kernel == "numpy":  # the fallback of lapack.eigvalsh
         monkeypatch.setattr(lapack, "eig_kernel", lambda: None)
-    for fixture in FIXTURES:
-        data = hard_fixture(fixture, rows, dims, seed=rows + dims + stride).data
+    inputs = [
+        hard_fixture(fixture, rows, dims * step, seed=rows + dims + stride).data[:, ::step]
+        for fixture in FIXTURES
+    ]
+    if step > 1 and centering is Centering.RAW:
+        heads = [data[: min(rows, dims)] for data in inputs]
+        if all(np.array_equal(h @ h.T, (h @ h.T).T) for h in heads):
+            pytest.skip("the loaded BLAS makes every strided head Gram exactly symmetric")
+    for fixture, data in zip(FIXTURES, inputs):
         want = gram_prefix_eranks_with_temporaries(data, steps, centering)
         got = prefix_eranks(data, steps, centering, Engine.INCREMENTAL_GRAM)
         assert (got == want).all(), fixture

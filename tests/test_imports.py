@@ -25,3 +25,15 @@ def test_src_has_no_unused_import():
                     if name not in read and (path.name, name) not in HOOKED:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_src_lines_fit_in_100_columns():
+    """No line of src/rankdyn is longer than 100 characters: a module that has
+    outgrown its width is split or simplified, not packed denser."""
+    long = [
+        f"{path.name}:{number} ({len(line)})"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []

@@ -95,13 +95,16 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
     assert max(drift, fallback_drift) <= 1e-12
 
 
+@pytest.mark.parametrize("engine", Engine)
 @pytest.mark.parametrize("stride", [1, 40])
 @pytest.mark.parametrize("centering", Centering)
-@pytest.mark.parametrize("rows,dims", [(130, 24), (50, 64)])
-def test_factor_engine_leaves_data_unchanged(stride, centering, rows, dims):
-    data = hard_fixture("gaussian", rows, dims, seed=stride).data
+@pytest.mark.parametrize("rows,dims,step", [(130, 24, 1), (50, 64, 1), (50, 64, 2)])
+def test_engines_leave_data_unchanged(engine, stride, centering, rows, dims, step):
+    # step 2 takes every second column of a wider fixture; in raw mode the walk
+    # hands the engine the caller's own array, strided as it is.
+    data = hard_fixture("gaussian", rows, dims * step, seed=stride).data[:, ::step]
     before = data.copy()
-    prefix_eranks(data, eval_steps(rows, stride, centering), centering, Engine.FACTOR)
+    prefix_eranks(data, eval_steps(rows, stride, centering), centering, engine)
     assert np.array_equal(data, before)
 
 
