@@ -126,10 +126,10 @@ def prefix_eranks(
     solve: slice = slice(None),
 ) -> np.ndarray:
     """Effective rank of each prefix data[:t], t in the increasing ends: the
-    steps, then t = T for the final ER. Only ends[solve], a range of step 1,
-    are solved, each by the engine that builds it, which takes in every row
-    up to the last of them but builds no block before the first. Centered mode
-    first shifts the rows by the mean of the first eval prefix (`spectral.shifted`)."""
+    steps, then t = T for the final ER. Only ends[solve], a range of step 1, are
+    solved by the engine, which takes in every row up to the last of them but
+    builds no block before the first. The rows are converted once to a C-contiguous
+    float64 array (f32 rows give their widening's ERs), then `spectral.shifted`."""
     ends = [*steps, data.shape[0]]
     start, stop, step = solve.indices(len(ends))
     if step != 1:
@@ -137,7 +137,8 @@ def prefix_eranks(
     if start >= stop:
         return np.zeros(0)
     walk = gram_stream.gram_eranks if engine is Engine.INCREMENTAL_GRAM else factor_eranks
-    return np.array(list(walk(shifted(data, steps, centering), ends, centering, start, stop)))
+    data = shifted(np.ascontiguousarray(data, dtype=np.float64), steps, centering)
+    return np.array(list(walk(data, ends, centering, start, stop)))
 
 
 def walk_flops(rows: int, dims: int, steps: list[int]) -> tuple[float, np.ndarray, np.ndarray]:

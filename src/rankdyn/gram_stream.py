@@ -59,21 +59,17 @@ def erank_from_gram(gram: np.ndarray) -> float:
 
 def gram_eranks(data: np.ndarray, ends: list[int], centering: Centering,
                 first: int, stop: int) -> Iterator[float]:
-    """The effective rank of each prefix data[:t], t in ends[first:stop], from
-    its Gram matrix, centered in centered mode, built and solved in place in one
-    F-ordered buffer. Every row to the last end solved is scattered, solved or not."""
+    """The ER of each prefix data[:t], t in ends[first:stop], of C-contiguous float64
+    rows, from its Gram matrix, centered in centered mode, built and solved in place
+    in one F-ordered buffer. Every row to the last end solved is scattered, solved or not."""
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
     # Up to every end within D, so a range keeps the whole walk's bits; none if none is solved.
     within = [t for t in ends if t <= dims] if ends[first] <= dims else []
     head = data[: max(within, default=0)]
     head_gram = head @ head.T
-    # The C-ordered transpose of an F-ordered block is filled row by row, about
-    # 4x faster than a transposing copy; it holds the block itself only while
-    # head_gram is exactly symmetric, as numpy's syrk path for A @ A.T makes it.
-    symmetric = np.array_equal(head_gram, head_gram.T)
     buffer = np.empty(min(rows, dims) ** 2)
-    state = GramStreamState(dims)
+    state = GramStreamState(dims) if ends[stop - 1] > dims else None
     for index, t in enumerate(ends[:stop]):
         if t > dims:
             state.extend(data[state.t : t])
@@ -83,7 +79,8 @@ def gram_eranks(data: np.ndarray, ends: list[int], centering: Centering,
         gram = buffer[: n * n].reshape(n, n, order="F")
         if t <= dims:
             block = head_gram[:t, :t]
-            np.copyto(gram.T if symmetric else gram, block)
+            # syrk's head_gram is exactly symmetric; gram.T is filled row by row, 4x faster
+            np.copyto(gram.T, block)
             if centered:
                 r = block.mean(axis=1)  # summed in the C order of the block
                 gram -= r[:, None]

@@ -115,7 +115,8 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix with the lower triangle of
     a, the triangle np.linalg.eigvalsh reads, and with its bits. dsyevd solves
     a in place, so a must be an F-contiguous, writeable float64 matrix, and its
-    lower triangle is overwritten; the numpy fallback leaves a as it is."""
+    lower triangle is overwritten; the numpy fallback leaves a as it is. In place
+    saves memory, not time: np.linalg.eigvalsh is as fast but copies a first."""
     if eig_kernel() is None:
         return np.linalg.eigvalsh(a)
     n = a.shape[0]

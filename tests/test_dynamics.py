@@ -146,6 +146,26 @@ def test_a_stepped_solve_range_is_refused(engine):
         assert prefix_eranks(data, steps, Centering.RAW, engine, empty).shape == (0,)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("engine", Engine)
+@pytest.mark.parametrize("centering", Centering)
+def test_the_walk_reads_any_real_rows_as_their_float64_copy(engine, centering):
+    # The walk converts its rows once to a C-contiguous float64 array, so each
+    # input gets the ERs of that copy, bit for bit. The ends lie on both sides
+    # of D = 24; the massive-activation columns make a float32 walk drift most.
+    rows = hard_fixture("massive", 61, 48, seed=61).data[:, ::2]
+    steps = eval_steps(61, 5, centering)
+    inputs = {
+        "float32": rows.astype(np.float32),
+        "fortran": np.asfortranarray(rows),
+        "strided": rows,
+        "int64": np.rint(rows * 100).astype(np.int64),
+    }
+    for name, data in inputs.items():
+        want = prefix_eranks(np.ascontiguousarray(data, np.float64), steps, centering, engine)
+        assert prefix_eranks(data, steps, centering, engine).tobytes() == want.tobytes(), name
+
+
 @pytest.mark.parametrize(
     "rows,engine,counts",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ def test_erank_from_gram_copies_a_c_ordered_gram():
     assert np.array_equal(gram, before)
 
 
+def test_erank_from_gram_solves_an_f_ordered_gram_in_place():
+    # dsyevd overwrites the lower triangle it reads, where np.linalg.eigvalsh
+    # would copy each gram into work memory first.
+    if lapack.eig_kernel() is None:
+        pytest.skip("the loaded BLAS exports no LAPACKE_dsyevd")
+    data = np.random.default_rng(4).standard_normal((6, 9))
+    gram = np.asfortranarray(data @ data.T)
+    before = gram.copy()
+    erank_from_gram(gram)
+    assert not np.array_equal(np.tril(gram), np.tril(before))
+
+
 def test_erank_from_gram_matches_svd_path():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((10, 4))
@@ -102,6 +116,20 @@ def test_single_prefix_equals_one_shot():
     series = prefix_eranks(data, [8], Centering.RAW, Engine.INCREMENTAL_GRAM)
     direct = spectral_summary(HiddenStateMatrix(data[:8])).effective_rank
     assert series[0] == pytest.approx(direct, rel=1e-10)
+
+
+def test_a_walk_within_d_builds_no_scatter():
+    # Ends within D need the head Gram and the buffer, each T x T; the D x D
+    # scatter (1.78 T x T here) is built only when an end lies past D.
+    rows, dims = 300, 400
+    data = np.random.default_rng(8).standard_normal((rows, dims))
+    tracemalloc.start()
+    try:
+        prefix_eranks(data, eval_steps(rows, 40), Centering.RAW, Engine.INCREMENTAL_GRAM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * rows * rows * 8, peak / (rows * rows * 8)
 
 
 # Each fixture at T < D, at T = D, and at T > D with prefixes on both sides of D.
@@ -170,8 +198,8 @@ def gram_prefix_eranks_with_temporaries(data, steps, centering):
 
 # (T, D, stride, column step): T < D, T = D and T > D, at stride 1 and at
 # strides that leave a tail. The last takes every second column of a wider
-# fixture: in raw mode the engine gets those strided rows, whose head Gram
-# numpy forms without syrk, so it is not exactly symmetric.
+# fixture, which the walk converts to a C-contiguous copy: it gets that
+# copy's ERs.
 IN_PLACE_SHAPES = [
     (17, 24, 1, 1), (17, 24, 5, 1), (24, 24, 1, 1), (24, 24, 5, 1), (64, 24, 1, 1),
     (61, 24, 8, 1), (130, 200, 7, 2),
@@ -190,11 +218,7 @@ def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
         hard_fixture(fixture, rows, dims * step, seed=rows + dims + stride).data[:, ::step]
         for fixture in FIXTURES
     ]
-    if step > 1 and centering is Centering.RAW:
-        heads = [data[: min(rows, dims)] for data in inputs]
-        if all(np.array_equal(h @ h.T, (h @ h.T).T) for h in heads):
-            pytest.skip("the loaded BLAS makes every strided head Gram exactly symmetric")
     for fixture, data in zip(FIXTURES, inputs):
-        want = gram_prefix_eranks_with_temporaries(data, steps, centering)
+        want = gram_prefix_eranks_with_temporaries(np.ascontiguousarray(data), steps, centering)
         got = prefix_eranks(data, steps, centering, Engine.INCREMENTAL_GRAM)
         assert (got == want).all(), fixture
