@@ -40,7 +40,6 @@ from .dynamics import (
     DEFAULT_STRIDE,
     Engine,
     differences,
-    eval_steps,
     prefix_eranks,
     require_stride,
     trajectory_metrics,
@@ -85,8 +84,7 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
             final_er, series = trajectory_metrics(matrix, stride, centering, engine)
             eranks = np.append(series.prefix_values, final_er)
         else:
-            steps = eval_steps(matrix.rows, stride, centering)
-            eranks = prefix_eranks(matrix.data, steps, centering, engine, solve)
+            eranks = prefix_eranks(matrix.data, stride, centering, engine, solve)
         values = (matrix.rows, matrix.cols, eranks)
     except Exception as exc:
         values = (type(exc).__name__, str(exc))
@@ -113,7 +111,7 @@ def plan_jobs(paths: list[str], stride: int, centering: Centering,
     for path in paths:
         try:
             rows, dims = read_header(path)
-            flops.append(walk_flops(rows, dims, eval_steps(rows, stride, centering)))
+            flops.append(walk_flops(rows, dims, stride, centering))
         except (RankdynError, OSError):
             flops.append((0.0, np.zeros(0), np.zeros(0)))
     costs = [head + build.sum() + solve.sum() for head, build, solve in flops]

@@ -122,14 +122,15 @@ def factor_eranks(data: np.ndarray, ends: list[int], centering: Centering,
 
 
 def prefix_eranks(
-    data: np.ndarray, steps: list[int], centering: Centering, engine: Engine,
+    data: np.ndarray, stride: int, centering: Centering, engine: Engine,
     solve: slice = slice(None),
 ) -> np.ndarray:
-    """Effective rank of each prefix data[:t], t in the increasing ends: the
-    steps, then t = T for the final ER. Only ends[solve], a range of step 1, are
+    """Effective rank of each prefix data[:t], t in the ends: every eval step at
+    this stride, then T for the final ER. Only ends[solve], a range of step 1, are
     solved by the engine, which takes in every row up to the last of them but
     builds no block before the first. The rows are converted once to a C-contiguous
     float64 array (f32 rows give their widening's ERs), then `spectral.shifted`."""
+    steps = eval_steps(data.shape[0], stride, centering)
     ends = [*steps, data.shape[0]]
     start, stop, step = solve.indices(len(ends))
     if step != 1:
@@ -141,13 +142,14 @@ def prefix_eranks(
     return np.array(list(walk(data, ends, centering, start, stop)))
 
 
-def walk_flops(rows: int, dims: int, steps: list[int]) -> tuple[float, np.ndarray, np.ndarray]:
+def walk_flops(rows: int, dims: int, stride: int,
+               centering: Centering) -> tuple[float, np.ndarray, np.ndarray]:
     """Modeled flops of the factor engine's LAPACK kernels on a rows-by-dims
-    trajectory: (head, build, solve). head is the row factor of m rows,
-    2 D m^2. Per end t, build is the fold, 2 b D^2, of the b rows it adds past
-    D, and solve is the SVD, 8/3 n^3, of its n = min(t, D) block. Each Gram
-    engine kernel costs half (its head at T > D aside): both get one plan."""
-    ends = np.array([*steps, rows], dtype=np.float64)
+    trajectory walked at this stride: (head, build, solve). head is the row factor
+    of m rows, 2 D m^2. Per end t, build is the fold, 2 b D^2, of the b rows it
+    adds past D, and solve is the SVD, 8/3 n^3, of its n = min(t, D) block. Each
+    Gram engine kernel costs half (its head at T > D aside): both get one plan."""
+    ends = np.array([*eval_steps(rows, stride, centering), rows], dtype=np.float64)
     head = 2 * dims * min(rows, dims) ** 2 if ends[0] <= dims else 0.0
     folded = np.where(ends > dims, ends, 0.0)  # the rows folded in after each end
     build = 2 * np.diff(folded, prepend=0.0) * dims**2
@@ -164,7 +166,7 @@ def prefix_metric_series(
     """Effective rank on every stride-aligned prefix, its differences, and the
     effective rank of all T rows."""
     steps = eval_steps(matrix.rows, stride, centering)
-    *values, final = prefix_eranks(matrix.data, steps, centering, engine)
+    *values, final = prefix_eranks(matrix.data, stride, centering, engine)
     velocity, acceleration = differences(values)
     return MetricSeries(
         eval_steps=tuple(steps),

@@ -138,6 +138,8 @@ def grpo_group_advantage(rewards: list[float]) -> list[float]:
     if len(rewards) < 2:
         raise GroupTooSmall(f"GRPO group needs >= 2 rollouts, got {len(rewards)}")
     arr = np.asarray(rewards, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("rewards must be finite")
     mean = arr.mean()
     std = arr.std()  # population (divide-by-G) std
     if std < 1e-12:
@@ -167,6 +169,8 @@ def shape_from_metrics(
     trajectory), shaping is skipped entirely and a_hat = a0. A failed rollout
     (all three None) also has d0 None, and returns the state it was given.
     """
+    if not math.isfinite(a0):
+        raise ValueError("a0 must be finite")
     eps = config.epsilon
     before = state
     for k, m in zip(METRICS, (m_er, m_erv, m_era)):

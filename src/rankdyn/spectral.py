@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix
+from .errors import DegenerateMatrix, NonFiniteValue
 from .tensor_io import HiddenStateMatrix
 
 # Relative cutoff for treating a singular value as zero.
@@ -48,6 +48,8 @@ def rescaled(data: np.ndarray) -> np.ndarray:
     squares and sums near the f64 limits: then data scaled into [1/2, 1) by
     an exact power of two (ER is scale-free)."""
     peak = max(data.max(), -data.min())
+    if not math.isfinite(peak):
+        raise NonFiniteValue("rows contain NaN or Inf")
     if 2.0**-400 <= peak <= 2.0**400:
         return data
     return np.ldexp(data, -np.frexp(peak)[1])

@@ -933,7 +933,7 @@ def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
     for index in cut[cpus]:
         ranges = [solve for i, solve in jobs if i == index]
         steps = eval_steps(lengths[index], 40, center)
-        head, build, solve = walk_flops(lengths[index], dims, steps)
+        head, build, solve = walk_flops(lengths[index], dims, 40, center)
         # Contiguous, latest first, covering every end once, and each range
         # solves more than it rebuilds.
         bounds = [0] + [part.stop for part in reversed(ranges)]

@@ -11,9 +11,9 @@ from rankdyn import (
     prefix_metric_series,
     trajectory_metrics,
 )
-from rankdyn import dynamics, verify
+from rankdyn import dynamics, lapack, verify
 from rankdyn.dynamics import eval_steps, prefix_eranks, walk_flops
-from rankdyn.errors import DegenerateMatrix, TrajectoryTooShort
+from rankdyn.errors import DegenerateMatrix, NonFiniteValue, TrajectoryTooShort
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture, prefix_spectra
 
@@ -124,10 +124,9 @@ def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
     # The metric phase joins a split trajectory's ranges: each range walks the
     # same blocks, so its ERs are the whole walk's, bit for bit.
     data = hard_fixture("power-law", rows, dims, seed=rows).data
-    steps = eval_steps(rows, stride, centering)
-    whole = prefix_eranks(data, steps, centering, engine)
+    whole = prefix_eranks(data, stride, centering, engine)
     cuts = [0, 1, len(whole) // 2, len(whole) - 1, len(whole)]
-    ranges = [prefix_eranks(data, steps, centering, engine, slice(a, b))
+    ranges = [prefix_eranks(data, stride, centering, engine, slice(a, b))
               for a, b in zip(cuts, cuts[1:])]
     assert np.concatenate(ranges).tobytes() == whole.tobytes()
 
@@ -137,13 +136,12 @@ def test_a_stepped_solve_range_is_refused(engine):
     # A step would pick every second end, and the walk solves contiguous
     # ranges only; an empty range solves nothing.
     data = hard_fixture("gaussian", 100, 8, seed=0).data
-    steps = eval_steps(100, 10)
     with pytest.raises(ValueError, match="step 1, not 2"):
-        prefix_eranks(data, steps, Centering.RAW, engine, slice(None, None, 2))
-    whole = prefix_eranks(data, steps, Centering.RAW, engine, slice(None, None, 1))
-    assert whole.size == len(steps) + 1
-    for empty in (slice(3, 3), slice(5, 2), slice(len(steps) + 1, None)):
-        assert prefix_eranks(data, steps, Centering.RAW, engine, empty).shape == (0,)
+        prefix_eranks(data, 10, Centering.RAW, engine, slice(None, None, 2))
+    whole = prefix_eranks(data, 10, Centering.RAW, engine, slice(None, None, 1))
+    assert whole.size == len(eval_steps(100, 10)) + 1
+    for empty in (slice(3, 3), slice(5, 2), slice(whole.size, None)):
+        assert prefix_eranks(data, 10, Centering.RAW, engine, empty).shape == (0,)
 
 
 @pytest.mark.filterwarnings("error")
@@ -154,7 +152,6 @@ def test_the_walk_reads_any_real_rows_as_their_float64_copy(engine, centering):
     # input gets the ERs of that copy, bit for bit. The ends lie on both sides
     # of D = 24; the massive-activation columns make a float32 walk drift most.
     rows = hard_fixture("massive", 61, 48, seed=61).data[:, ::2]
-    steps = eval_steps(61, 5, centering)
     inputs = {
         "float32": rows.astype(np.float32),
         "fortran": np.asfortranarray(rows),
@@ -162,8 +159,33 @@ def test_the_walk_reads_any_real_rows_as_their_float64_copy(engine, centering):
         "int64": np.rint(rows * 100).astype(np.int64),
     }
     for name, data in inputs.items():
-        want = prefix_eranks(np.ascontiguousarray(data, np.float64), steps, centering, engine)
-        assert prefix_eranks(data, steps, centering, engine).tobytes() == want.tobytes(), name
+        want = prefix_eranks(np.ascontiguousarray(data, np.float64), 5, centering, engine)
+        assert prefix_eranks(data, 5, centering, engine).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernels", ["lapack", "numpy"])
+@pytest.mark.parametrize("engine", Engine)
+@pytest.mark.parametrize("centering", Centering)
+def test_the_walk_refuses_nonfinite_rows_and_strides_with_no_end(
+    monkeypatch, kernels, engine, centering
+):
+    # One error per fault on every engine and kernel path: a NaN or infinite
+    # value, a stride below 1, and a stride that leaves no end before T.
+    if kernels == "numpy":
+        monkeypatch.setattr(lapack, "qr_kernels", lambda: None)
+        monkeypatch.setattr(lapack, "eig_kernel", lambda: None)
+    data = hard_fixture("gaussian", 30, 8, seed=0).data
+    for value in (np.nan, np.inf, -np.inf):
+        bad = data.copy()
+        bad[12, 3] = value
+        with pytest.raises(NonFiniteValue, match="rows contain NaN or Inf"):
+            prefix_eranks(bad, 5, centering, engine)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        prefix_eranks(data, 0, centering, engine)
+    for stride in (30, 31):
+        with pytest.raises(TrajectoryTooShort):
+            prefix_eranks(data, stride, centering, engine)
 
 
 @pytest.mark.parametrize(
@@ -195,21 +217,20 @@ def test_a_late_range_builds_only_the_blocks_it_solves(monkeypatch, rows, engine
     count(dynamics, "row_factor")
     centering = Centering.ROW_MEAN_CENTERED
     data = hard_fixture("power-law", rows, 24, seed=rows).data
-    steps = eval_steps(rows, 5, centering)
-    last = prefix_eranks(data, steps, centering, engine, slice(len(steps), None))
+    last = prefix_eranks(data, 5, centering, engine, slice(-1, None))
     assert calls == counts
-    assert last.tobytes() == prefix_eranks(data, steps, centering, engine)[-1:].tobytes()
+    assert last.tobytes() == prefix_eranks(data, 5, centering, engine)[-1:].tobytes()
 
 
 def test_walk_flops_counts_each_kernel():
     # Ends 2, 4 of D = 4 come from the head; 6, 8, 10 fold 6, 2 and 2 rows.
-    head, build, solve = walk_flops(10, 4, [2, 4, 6, 8])
+    head, build, solve = walk_flops(10, 4, 2, Centering.RAW)
     assert head == 2 * 4 * 4**2  # the row factor of min(T, D) rows
     assert build.tolist() == [2 * b * 4**2 for b in (0, 0, 6, 2, 2)]
     assert solve.tolist() == [8 / 3 * n**3 for n in (2, 4, 4, 4, 4)]
-    # Every end past D: no head; the first fold takes every row up to it.
-    head, build, _ = walk_flops(10, 4, [6, 8])
-    assert head == 0 and build.tolist() == [2 * b * 4**2 for b in (6, 2, 2)]
+    # Every end past D (6, then 10): no head; the first fold takes every row up to it.
+    head, build, _ = walk_flops(10, 4, 6, Centering.RAW)
+    assert head == 0 and build.tolist() == [2 * b * 4**2 for b in (6, 4)]
 
 
 # (T, D, stride): T < D, T = D and T > D; prefixes that cross D; stride 1;

@@ -113,7 +113,7 @@ def test_chunking_associativity():
 def test_single_prefix_equals_one_shot():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((9, 5))
-    series = prefix_eranks(data, [8], Centering.RAW, Engine.INCREMENTAL_GRAM)
+    series = prefix_eranks(data, 8, Centering.RAW, Engine.INCREMENTAL_GRAM)
     direct = spectral_summary(HiddenStateMatrix(data[:8])).effective_rank
     assert series[0] == pytest.approx(direct, rel=1e-10)
 
@@ -125,7 +125,7 @@ def test_a_walk_within_d_builds_no_scatter():
     data = np.random.default_rng(8).standard_normal((rows, dims))
     tracemalloc.start()
     try:
-        prefix_eranks(data, eval_steps(rows, 40), Centering.RAW, Engine.INCREMENTAL_GRAM)
+        prefix_eranks(data, 40, Centering.RAW, Engine.INCREMENTAL_GRAM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,8 +158,7 @@ def test_stream_matches_naive_series_centered(stride):
 def test_centered_stream_stride_one_starts_at_two_rows():
     # a one-row prefix cannot be centered, so both engines start at t=2
     data = np.random.default_rng(9).standard_normal((5, 3))
-    steps = eval_steps(5, 1, Centering.ROW_MEAN_CENTERED)
-    streamed = prefix_eranks(data, steps, Centering.ROW_MEAN_CENTERED, Engine.INCREMENTAL_GRAM)
+    streamed = prefix_eranks(data, 1, Centering.ROW_MEAN_CENTERED, Engine.INCREMENTAL_GRAM)
     factor = prefix_metric_series(
         HiddenStateMatrix(data), 1, Centering.ROW_MEAN_CENTERED, Engine.FACTOR
     )
@@ -220,5 +219,5 @@ def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
     ]
     for fixture, data in zip(FIXTURES, inputs):
         want = gram_prefix_eranks_with_temporaries(np.ascontiguousarray(data), steps, centering)
-        got = prefix_eranks(data, steps, centering, Engine.INCREMENTAL_GRAM)
+        got = prefix_eranks(data, stride, centering, Engine.INCREMENTAL_GRAM)
         assert (got == want).all(), fixture

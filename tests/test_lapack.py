@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rankdyn import lapack, write_matrix
-from rankdyn.dynamics import Engine, eval_steps, prefix_eranks
+from rankdyn.dynamics import Engine, prefix_eranks
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture
 
@@ -82,10 +82,9 @@ def without_kernels(monkeypatch, run, binder="qr_kernels"):
 def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, shape):
     rows, dims, stride = shape
     matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
-    steps = eval_steps(rows, stride, centering)
-    kernel = prefix_eranks(matrix.data, steps, centering, Engine.FACTOR)
+    kernel = prefix_eranks(matrix.data, stride, centering, Engine.FACTOR)
     fallback = without_kernels(
-        monkeypatch, lambda: prefix_eranks(matrix.data, steps, centering, Engine.FACTOR)
+        monkeypatch, lambda: prefix_eranks(matrix.data, stride, centering, Engine.FACTOR)
     )
     np.testing.assert_allclose(kernel, fallback, rtol=1e-12, atol=0)
     drift = engine_drifts(matrix, stride, centering)[Engine.FACTOR]
@@ -100,11 +99,11 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
 @pytest.mark.parametrize("centering", Centering)
 @pytest.mark.parametrize("rows,dims,step", [(130, 24, 1), (50, 64, 1), (50, 64, 2)])
 def test_engines_leave_data_unchanged(engine, stride, centering, rows, dims, step):
-    # step 2 takes every second column of a wider fixture; in raw mode the walk
-    # hands the engine the caller's own array, strided as it is.
+    # step 2 takes every second column of a wider fixture, which the walk
+    # copies to a C-contiguous array; the caller's array is never written.
     data = hard_fixture("gaussian", rows, dims * step, seed=stride).data[:, ::step]
     before = data.copy()
-    prefix_eranks(data, eval_steps(rows, stride, centering), centering, engine)
+    prefix_eranks(data, stride, centering, engine)
     assert np.array_equal(data, before)
 
 

@@ -164,6 +164,20 @@ def test_shaping_functions_reject_nonpositive_or_nonfinite(call, name, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda v: grpo_group_advantage([1.0, v, -1.0]), "rewards"),
+     (lambda v: shape_from_metrics(1.0, 1.0, 1.0, v, EmaState(), ShapingConfig()), "a0"),
+     (lambda v: shape_from_metrics(1.0, None, None, v, EmaState(), ShapingConfig()), "a0")],
+    ids=["grpo_group_advantage", "shape_from_metrics", "shape_from_metrics-unshaped"],
+)
+def test_shaping_rejects_a_nonfinite_reward_or_base_advantage(call, name, value):
+    # One NaN reward would make its whole group's advantages NaN, and a NaN a0 its a_hat.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call(value)
+
+
 def test_first_trajectory_is_neutral():
     config = ShapingConfig()
     outcome, state = shape_from_metrics(10.0, 1.0, 0.5, 0.8, EmaState(), config)
