@@ -12,22 +12,17 @@ round-trip doubles bit-exactly.
 
 `metrics` writes each trajectory's metrics (`metric_phase`); `shape` adds
 GRPO, the EMA and shaping. Only the program entry point `run` forks workers
-for the metric phase; `main` runs it in-process.
+for the metric phase (rankdyn.batch plans, runs and joins its jobs); `main`
+runs it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import ctypes
 import functools
 import glob as globlib
-import math
 import os
-import pickle
-import select
-import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -36,16 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verifymod
-from .dynamics import (
-    DEFAULT_STRIDE,
-    Engine,
-    differences,
-    prefix_eranks,
-    require_stride,
-    trajectory_metrics,
-    walk_flops,
-)
-from .errors import GroupTooSmall, ManifestError, RankdynError, WorkerDied
+from .batch import fork_map, join_ranges, plan_jobs, usable_cpus
+from .dynamics import DEFAULT_STRIDE, Engine, prefix_eranks, require_stride, trajectory_metrics
+from .errors import GroupTooSmall, ManifestError, RankdynError
 from .shaping import (
     EmaState,
     ShapingConfig,
@@ -54,7 +42,7 @@ from .shaping import (
     shape_from_metrics,
 )
 from .spectral import Centering
-from .tensor_io import read_header, read_matrix
+from .tensor_io import read_matrix
 
 METRICS_HEADER = ["id", "T", "D", "er", "erv", "era", "error"]
 SHAPE_HEADER = ["id", "group", "reward", "a0", "d0", "d1", "d2", "beta", "phi", "a_hat"]
@@ -69,11 +57,9 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
     """Metric phase of one trajectory, or of the prefix ends `solve` of it:
     (values, read seconds, metric seconds).
 
-    values is (T, D, the ERs of its ends, the final ER last on a whole one),
-    or (error type name, message) for any Exception, so one bad trajectory
-    costs its row and never the batch: plain values only, as an exception that
-    needs more than its message cannot be unpickled. This is the one place a
-    trajectory's failure becomes a value.
+    values is a job value as rankdyn.batch's docstring states it: (T, D, the
+    ERs of its ends), or (error type name, message) for any Exception. This
+    is the one place a trajectory's failure becomes a value.
     """
     clock = [time.perf_counter()]
     try:
@@ -90,158 +76,6 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
         values = (type(exc).__name__, str(exc))
     clock.append(time.perf_counter())
     return values, clock[1] - clock[0], clock[-1] - clock[1]
-
-
-def plan_jobs(paths: list[str], stride: int, centering: Centering,
-              cpus: int) -> list[tuple[int, slice | None]]:
-    """The metric phase's jobs, as (path index, solve range; None for the
-    whole trajectory), in input order.
-
-    A trajectory whose modeled cost (dynamics.walk_flops) exceeds the batch's
-    over cpus is cut into contiguous ranges of its prefix ends, taken from its
-    last end back, latest first. Each range holds one end, then as many more
-    as keep its cost within that share, the build of every earlier block
-    included, and more still until its solves cost more than that build; the
-    ends left join it when they would solve no more than they rebuild. So each
-    range of a cut trajectory solves more than it rebuilds, and a trajectory
-    that cannot be cut so stays one job. A trajectory whose header fails a
-    check (tensor_io.read_header) or that has no eval step is one job, whose
-    worker reports the fault."""
-    flops = []
-    for path in paths:
-        try:
-            rows, dims = read_header(path)
-            flops.append(walk_flops(rows, dims, stride, centering))
-        except (RankdynError, OSError):
-            flops.append((0.0, np.zeros(0), np.zeros(0)))
-    costs = [head + build.sum() + solve.sum() for head, build, solve in flops]
-    share = sum(costs) / cpus
-    jobs = []
-    for index, (head, build, solve) in enumerate(flops):
-        built = head + np.cumsum(build)  # the cost of building every block up to each end
-        solved = np.cumsum(solve)  # the cost of solving every end up to each end
-        ranges, stop = [], len(solve) if costs[index] > share else 0
-        while stop:
-            first, cost = stop - 1, built[stop - 1] + solve[stop - 1]
-            # cost > 2 * built[stop - 1] once the range solves more than it rebuilds.
-            while first and (cost + solve[first - 1] <= share or cost <= 2 * built[stop - 1]):
-                first -= 1
-                cost += solve[first]
-            if first and solved[first - 1] <= built[first - 1]:
-                first = 0
-            ranges.append(slice(first, stop))
-            stop = first
-        jobs += [(index, part) for part in ranges] if len(ranges) > 1 else [(index, None)]
-    return jobs
-
-
-def join_ranges(pieces: list[tuple]) -> tuple:
-    """One trajectory's row (T, D, er, erv, era, error) from its jobs' values,
-    latest first. error is None and the metrics are those of the ERs in order,
-    as trajectory_metrics gives them, unless a job failed: then each metric is
-    None and error is the earliest failure's (error type name, message)."""
-    for values in reversed(pieces):
-        if len(values) == 2:
-            return None, None, None, None, None, values
-    *eranks, final = np.concatenate([values[2] for values in reversed(pieces)])
-    return (*pieces[0][:2], float(final), *differences(eranks), None)
-
-
-CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "quota period" or "max period"
-CFS_QUOTA = Path("/sys/fs/cgroup/cpu/cpu.cfs_quota_us")  # cgroup v1 CPU quota, -1 for none
-CFS_PERIOD = Path("/sys/fs/cgroup/cpu/cpu.cfs_period_us")
-
-
-def usable_cpus() -> int:
-    """The CPU affinity, capped at ceil(quota / period) of a cgroup CPU quota:
-    CPU_MAX (v2) where it exists, else CFS_QUOTA over CFS_PERIOD (v1). "max",
-    -1 or no quota file sets no cap."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    files = [CPU_MAX] if CPU_MAX.exists() else [CFS_QUOTA, CFS_PERIOD]
-    try:
-        quota, period = (int(field) for path in files for field in path.read_text().split())
-    except (OSError, ValueError):
-        return cpus or 1
-    return min(cpus or 1, math.ceil(quota / period)) if quota > 0 else cpus or 1
-
-
-def die_with_parent(parent: int) -> None:
-    """Worker set-up: the kernel SIGKILLs this worker when its parent dies,
-    even by a SIGKILL that no handler sees; a parent gone before prctl ran is
-    caught by getppid. Does nothing where libc has no prctl (off Linux)."""
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-        if os.getppid() != parent:
-            os._exit(1)
-
-
-INDEX_BYTES = 8  # one job index in the index pipe, written and read whole
-
-
-def _fork_worker(jobs: list, parent: int, pipes: tuple[int, int, int],
-                 inherited: list[int]) -> None:
-    """Body of one forked worker; never returns. The index pipe holds the next
-    job index, which one worker at a time takes and puts back plus one, until
-    it reads len(jobs). The (index, result) of its jobs go to the parent,
-    pickled, on out_w. A job that raises ends the worker with exit code 1.
-    inherited are fds of the parent it closes."""
-    code, done = 1, []
-    index_r, index_w, out_w = pipes
-    try:
-        die_with_parent(parent)
-        for fd in inherited:
-            os.close(fd)
-        while (index := int.from_bytes(os.read(index_r, INDEX_BYTES), "little")) < len(jobs):
-            os.write(index_w, (index + 1).to_bytes(INDEX_BYTES, "little"))
-            done.append((index, jobs[index]()))
-        os.write(index_w, len(jobs).to_bytes(INDEX_BYTES, "little"))
-        with os.fdopen(out_w, "wb") as out:
-            pickle.dump(done, out)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def fork_map(jobs: list, workers: int) -> list:
-    """[job() for job in jobs] on `workers` bare forked workers, which die
-    with this process (die_with_parent). Jobs start in input order. A worker
-    that dies, a job that raises included, raises WorkerDied. Every worker is
-    reaped and every pipe closed on every way out."""
-    parent, (index_r, index_w) = os.getpid(), os.pipe()
-    os.write(index_w, (0).to_bytes(INDEX_BYTES, "little"))
-    chunks: dict[int, list[bytes]] = {}  # result pipe -> what it has sent
-    pids: dict[int, int] = {}  # result pipe -> worker pid, until reaped
-    results: dict[int, object] = {}
-    try:
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            chunks[out_r] = []
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _fork_worker(jobs, parent, (index_r, index_w, out_w), list(chunks))
-            finally:  # in the parent only: a worker never returns
-                os.close(out_w)
-            pids[out_r] = pid
-        while pids:
-            for fd in select.select(list(pids), [], [])[0]:
-                if chunk := os.read(fd, 1 << 16):
-                    chunks[fd].append(chunk)
-                    continue
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(fd), 0)[1])
-                if code:
-                    raise WorkerDied(f"a metric worker died with exit code {code}")
-                results.update(pickle.loads(b"".join(chunks[fd])))
-    finally:
-        for pid in pids.values():
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in [index_r, index_w, *chunks]:
-            os.close(fd)
-    return [results[index] for index in range(len(jobs))]
 
 
 def metric_phase(
@@ -298,16 +132,18 @@ def metric_phase(
 
 def _check_paths(args: argparse.Namespace, trajectories: list[str], *inputs: str) -> None:
     """Fail before the metric phase, writing nothing, if two trajectories share
-    a stem (their rows' id), an output is a directory, a symlink loop or in a
-    missing one, --out and --stats are one file, or an output is an input."""
+    a stem (their rows' id), an output is empty, a directory, a symlink loop or
+    in a missing one, --out and --stats are one file, or an output is an input."""
     first: dict[str, str] = {}
     for path in trajectories:
         other = first.setdefault(Path(path).stem, path)
         if other != path and os.path.realpath(other) != os.path.realpath(path):
             raise ValueError(f"{other} and {path} both have the id {Path(path).stem!r}")
-    paths = list(filter(None, (args.out, args.stats)))
+    paths = [path for path in (args.out, args.stats) if path is not None]
     read = {Path(os.path.realpath(path)) for path in [*trajectories, *inputs]}
     for path in paths:
+        if not path:
+            raise ValueError("an output path is empty")
         target = Path(os.path.realpath(path))  # where open writes, through any symlink
         if target.is_symlink():  # realpath leaves a link of a symlink loop unresolved
             raise OSError(f"{path}: is a symlink loop")
@@ -329,7 +165,7 @@ def _finish(args: argparse.Namespace, header: list[str], rows: list[list[str]],
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    if args.stats:
+    if args.stats is not None:
         import json
 
         report["stage_s"]["write"] = time.perf_counter() - write_start
@@ -367,7 +203,8 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4 or parts[2] not in ("0", "1") or parts[3] not in ("0", "1"):
+        if (len(parts) != 4 or not all(parts)  # an empty path or group id
+                or parts[2] not in ("0", "1") or parts[3] not in ("0", "1")):
             raise ManifestError(f"{path}:{lineno}: malformed record {line!r}")
         entries.append(ManifestEntry(parts[0], parts[1], parts[2] == "1", parts[3] == "1"))
     if not entries:

@@ -23,8 +23,9 @@ from rankdyn import (
     trajectory_metrics,
     write_matrix,
 )
-from rankdyn import cli, verify
-from rankdyn.cli import main, read_manifest, usable_cpus
+from rankdyn import batch, cli, verify
+from rankdyn.batch import usable_cpus
+from rankdyn.cli import main, read_manifest
 from rankdyn.dynamics import Engine, eval_steps, walk_flops
 from rankdyn.errors import GroupTooSmall, ManifestError
 from rankdyn.lapack import eig_kernel, openblas, qr_kernels
@@ -151,9 +152,9 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     # An output in a missing directory, directly or through a symlink, an
-    # output that is a directory or a symlink loop, --out and --stats naming
-    # one file, a non-finite --eps, a --gamma of 1 and a manifest of comments
-    # only all fail before the metric phase runs.
+    # output that is a directory, a symlink loop or empty, --out and --stats
+    # naming one file, a non-finite --eps, a --gamma of 1 and a manifest of
+    # comments only all fail before the metric phase runs.
     monkeypatch.setattr(cli, "metric_phase", lambda *args: pytest.fail("metric phase ran"))
     folder = tmp_path / "d"
     folder.mkdir()
@@ -172,6 +173,8 @@ def test_unreadable_input_or_output_exits_2(tmp_path, capsys, monkeypatch):
         (metrics + out + ["--stats", str(folder / ".." / "m.csv")], "are the same file"),
         (metrics + ["--out", str(folder)], f"{folder}: is a directory"),
         (metrics + out + ["--stats", str(folder)], f"{folder}: is a directory"),
+        (metrics + ["--out", ""], "an output path is empty"),
+        (metrics + out + ["--stats", ""], "an output path is empty"),
         (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv"), "--eps", "nan"],
          "epsilon must be positive and finite"),
         (["shape", "--manifest", str(manifest), "--out", str(tmp_path / "s.csv"), "--gamma", "1"],
@@ -400,9 +403,10 @@ def test_manifest_parsing(tmp_path):
     entries = read_manifest(path)
     assert len(entries) == 2
     assert entries[0].is_correct and not entries[0].has_boxed
-    path.write_text("a.hsmx,g1,2,0\n")
-    with pytest.raises(ManifestError):
-        read_manifest(path)
+    for record in ["a.hsmx,g1,2,0", ",g1,1,1", "a.hsmx,,1,1", " ,g1,1,1"]:
+        path.write_text(record + "\n")
+        with pytest.raises(ManifestError, match="malformed record"):
+            read_manifest(path)
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
@@ -591,19 +595,19 @@ def test_numpy_eig_fallback_keeps_the_bytes(tmp_path, center):
 
 def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
     affinity = len(os.sched_getaffinity(0))
-    monkeypatch.setattr(cli, "CPU_MAX", tmp_path / "cpu.max")
-    monkeypatch.setattr(cli, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
-    monkeypatch.setattr(cli, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
+    monkeypatch.setattr(batch, "CPU_MAX", tmp_path / "cpu.max")
+    monkeypatch.setattr(batch, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
+    monkeypatch.setattr(batch, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
     assert usable_cpus() == affinity  # no quota file: no cap
     # cgroup v1: quota and period in two files, -1 for no quota
-    cli.CFS_PERIOD.write_text("100000\n")
+    batch.CFS_PERIOD.write_text("100000\n")
     for quota, cap in [("-1", affinity), ("150000", 2), ("100000", 1), ("50000", 1)]:
-        cli.CFS_QUOTA.write_text(quota + "\n")
+        batch.CFS_QUOTA.write_text(quota + "\n")
         assert usable_cpus() == min(affinity, cap)
     # cgroup v2: cpu.max, where it exists, overrides the v1 files
     for text, cap in [("max 100000\n", affinity), ("150000 100000\n", 2),
                       ("100000 100000\n", 1), ("50000 100000\n", 1)]:
-        cli.CPU_MAX.write_text(text)
+        batch.CPU_MAX.write_text(text)
         assert usable_cpus() == min(affinity, cap)
     # A one-CPU quota keeps even a forking metric phase in-process.
     write_trajectory(tmp_path / "a.hsmx", 96, 8, seed=0)
@@ -621,9 +625,9 @@ def test_usable_cpus_caps_at_cgroup_quota(tmp_path, monkeypatch):
     ids=["v1-without-period", "v1-not-a-number", "v2-empty-overrides-v1"],
 )
 def test_usable_cpus_ignores_unreadable_quota(tmp_path, monkeypatch, files):
-    monkeypatch.setattr(cli, "CPU_MAX", tmp_path / "cpu.max")
-    monkeypatch.setattr(cli, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
-    monkeypatch.setattr(cli, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
+    monkeypatch.setattr(batch, "CPU_MAX", tmp_path / "cpu.max")
+    monkeypatch.setattr(batch, "CFS_QUOTA", tmp_path / "cpu.cfs_quota_us")
+    monkeypatch.setattr(batch, "CFS_PERIOD", tmp_path / "cpu.cfs_period_us")
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert usable_cpus() == len(os.sched_getaffinity(0))
@@ -884,7 +888,7 @@ def test_a_header_that_claims_too_many_rows_is_one_job(tmp_path):
     (tmp_path / "big.hsmx").write_bytes(raw)
     write_trajectory(tmp_path / "good.hsmx", 300, 16, seed=0)
     paths = [str(tmp_path / "big.hsmx"), str(tmp_path / "good.hsmx")]
-    jobs = cli.plan_jobs(paths, 40, Centering.RAW, cpus=2)
+    jobs = batch.plan_jobs(paths, 40, Centering.RAW, cpus=2)
     assert jobs[0] == (0, None) and [i for i, _ in jobs[1:]] == [1] * (len(jobs) - 1)
     code, _, data, report = worker_counts_agree(["metrics", "--in", tmp_path / "*.hsmx"], tmp_path)
     truncated = "payload holds 8 scalars, header declares 2147483648 (byte offset 92)"
@@ -925,8 +929,8 @@ def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
     # for its rebuild on any CPU count.
     lengths, dims, dtype, center, cut = WORKLOAD_SHAPES[workload]
     paths = sparse_batch(tmp_path, workload, lengths, dims, dtype)
-    jobs = cli.plan_jobs(paths, 40, center, cpus)
-    assert cli.plan_jobs(paths, 40, center, cpus=1) == [(i, None) for i in range(len(paths))]
+    jobs = batch.plan_jobs(paths, 40, center, cpus)
+    assert batch.plan_jobs(paths, 40, center, cpus=1) == [(i, None) for i in range(len(paths))]
     assert sorted({i for i, solve in jobs if solve is not None}) == cut[cpus]
     assert [i for i, _ in jobs] == sorted(i for i, _ in jobs)  # in input order
     assert [i for i, solve in jobs if solve is None] == [i for i in range(len(paths)) if i not in cut[cpus]]
@@ -945,7 +949,7 @@ def test_plan_on_workload_shaped_headers(tmp_path, workload, cpus):
 # Runs body, then checks that no child is left, reaped or not.
 FORK_MAP_PROGRAM = """
 import errno, functools, json, os, sys, time
-from rankdyn import cli
+from rankdyn import batch
 {body}
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -969,7 +973,7 @@ def test_fork_map_keeps_input_order_on_uneven_job_times():
             time.sleep(seconds)
             return seconds, os.getpid()
         jobs = [functools.partial(nap, s) for s in {seconds!r}]
-        print(json.dumps([os.getpid(), cli.fork_map(jobs, 2)]))
+        print(json.dumps([os.getpid(), batch.fork_map(jobs, 2)]))
     """)
     parent, results = json.loads(stdout)
     assert stderr == "" and [s for s, _ in results] == seconds
@@ -983,8 +987,8 @@ def test_fork_map_fails_as_a_dead_worker_when_a_job_raises():
                 raise MemoryError(f"no room for job {i}")
             return i
         try:
-            cli.fork_map([functools.partial(job, i) for i in range(8)], 2)
-        except cli.WorkerDied as exc:
+            batch.fork_map([functools.partial(job, i) for i in range(8)], 2)
+        except batch.WorkerDied as exc:
             print(type(exc).__name__, exc)
     """)
     assert (stdout, stderr) == ("WorkerDied a metric worker died with exit code 1\n", "")
@@ -1002,7 +1006,7 @@ def test_fork_map_closes_its_pipes_when_fork_fails():
         os.fork = fork_once
         before = len(os.listdir("/proc/self/fd"))
         try:
-            cli.fork_map([functools.partial(abs, i) for i in (-1, -2, -3)], 2)
+            batch.fork_map([functools.partial(abs, i) for i in (-1, -2, -3)], 2)
         except OSError as exc:
             print(errno.errorcode[exc.errno], len(os.listdir("/proc/self/fd")) - before)
     """)

@@ -37,3 +37,24 @@ def test_src_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert long == []
+
+
+def imported_modules(name):
+    """Every module path an import in src/rankdyn/<name> names, a relative one
+    resolved into rankdyn: `from . import cli` gives rankdyn and rankdyn.cli."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["rankdyn" if node.level else "", node.module]))
+            found += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_cli_holds_no_process_code():
+    """The fork pool, its pipes, prctl and the cgroup quota live in batch.py:
+    cli.py imports none of their modules, and batch.py imports nothing of cli."""
+    process = {"contextlib", "ctypes", "math", "pickle", "select", "signal"}
+    assert [m for m in imported_modules("cli.py") if m.split(".")[0] in process] == []
+    assert [m for m in imported_modules("batch.py") if m.split(".")[:2] == ["rankdyn", "cli"]] == []
