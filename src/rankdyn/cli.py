@@ -70,7 +70,7 @@ def trajectory_job(path: str, stride: int, centering: Centering, engine: Engine,
             final_er, series = trajectory_metrics(matrix, stride, centering, engine)
             eranks = np.append(series.prefix_values, final_er)
         else:
-            eranks = prefix_eranks(matrix.data, stride, centering, engine, solve)
+            eranks = prefix_eranks(matrix, stride, centering, engine, solve)
         values = (matrix.rows, matrix.cols, eranks)
     except Exception as exc:
         values = (type(exc).__name__, str(exc))

@@ -122,23 +122,22 @@ def factor_eranks(data: np.ndarray, ends: list[int], centering: Centering,
 
 
 def prefix_eranks(
-    data: np.ndarray, stride: int, centering: Centering, engine: Engine,
+    matrix: HiddenStateMatrix, stride: int, centering: Centering, engine: Engine,
     solve: slice = slice(None),
 ) -> np.ndarray:
-    """Effective rank of each prefix data[:t], t in the ends: every eval step at
-    this stride, then T for the final ER. Only ends[solve], a range of step 1, are
-    solved by the engine, which takes in every row up to the last of them but
-    builds no block before the first. The rows are converted once to a C-contiguous
-    float64 array (f32 rows give their widening's ERs), then `spectral.shifted`."""
-    steps = eval_steps(data.shape[0], stride, centering)
-    ends = [*steps, data.shape[0]]
+    """Effective rank of each prefix data[:t] of matrix.data, t in the ends: every
+    eval step at this stride, then T for the final ER. Only ends[solve], a range of
+    step 1, are solved by the engine, which takes in every row up to the last of them
+    but builds no block before the first. The engine walks `spectral.shifted` rows."""
+    steps = eval_steps(matrix.rows, stride, centering)
+    ends = [*steps, matrix.rows]
     start, stop, step = solve.indices(len(ends))
     if step != 1:
         raise ValueError(f"solve must be a range of step 1, not {step}")
     if start >= stop:
         return np.zeros(0)
     walk = gram_stream.gram_eranks if engine is Engine.INCREMENTAL_GRAM else factor_eranks
-    data = shifted(np.ascontiguousarray(data, dtype=np.float64), steps, centering)
+    data = shifted(matrix, steps, centering)
     return np.array(list(walk(data, ends, centering, start, stop)))
 
 
@@ -166,7 +165,7 @@ def prefix_metric_series(
     """Effective rank on every stride-aligned prefix, its differences, and the
     effective rank of all T rows."""
     steps = eval_steps(matrix.rows, stride, centering)
-    *values, final = prefix_eranks(matrix.data, stride, centering, engine)
+    *values, final = prefix_eranks(matrix, stride, centering, engine)
     velocity, acceleration = differences(values)
     return MetricSeries(
         eval_steps=tuple(steps),

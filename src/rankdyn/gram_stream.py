@@ -20,6 +20,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import NonFiniteValue
 from .lapack import eigvalsh
 from .spectral import Centering, summary_from_singular_values
 
@@ -49,9 +50,13 @@ def erank_from_gram(gram: np.ndarray) -> float:
     """Effective rank from a symmetric PSD Gram matrix, read from its lower
     triangle, as np.linalg.eigvalsh reads it. An F-contiguous, writeable
     float64 gram is solved in place, and its lower triangle is overwritten;
-    any other gram is copied first."""
+    any other gram is copied first. A NaN or infinite row of Z reaches the
+    diagonal of Z Z^T, so a non-finite trace raises NonFiniteValue."""
     gram = np.require(gram, np.float64, ["F", "W"])
-    clamp = EIGENVALUE_CLAMP * max(float(np.trace(gram)), 0.0)
+    trace = float(np.trace(gram))
+    if not np.isfinite(trace):
+        raise NonFiniteValue("Gram matrix contains NaN or Inf")
+    clamp = EIGENVALUE_CLAMP * max(trace, 0.0)
     eigvals = eigvalsh(gram)
     eigvals = np.where(eigvals > clamp, eigvals, 0.0)
     return summary_from_singular_values(np.sqrt(eigvals)).effective_rank

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, NonFiniteValue
+from .errors import DegenerateMatrix
 from .tensor_io import HiddenStateMatrix
 
 # Relative cutoff for treating a singular value as zero.
@@ -43,24 +43,21 @@ def center(data: np.ndarray, centering: Centering) -> np.ndarray:
     return data - data.mean(axis=0, keepdims=True)
 
 
-def rescaled(data: np.ndarray) -> np.ndarray:
-    """data, unless its peak |value| lies outside [2^-400, 2^400], where Gram
-    squares and sums near the f64 limits: then data scaled into [1/2, 1) by
-    an exact power of two (ER is scale-free)."""
-    peak = max(data.max(), -data.min())
-    if not math.isfinite(peak):
-        raise NonFiniteValue("rows contain NaN or Inf")
-    if 2.0**-400 <= peak <= 2.0**400:
-        return data
-    return np.ldexp(data, -np.frexp(peak)[1])
+def rescaled(matrix: HiddenStateMatrix) -> np.ndarray:
+    """matrix.data, unless its peak |value| lies outside [2^-400, 2^400], where
+    Gram squares and sums near the f64 limits: then the data scaled into [1/2, 1)
+    by an exact power of two (ER is scale-free)."""
+    if 2.0**-400 <= matrix.peak <= 2.0**400:
+        return matrix.data
+    return np.ldexp(matrix.data, -np.frexp(matrix.peak)[1])
 
 
-def shifted(data: np.ndarray, steps: Sequence[int], centering: Centering) -> np.ndarray:
-    """Centered mode: `rescaled` data less one shift row, the mean of its
+def shifted(matrix: HiddenStateMatrix, steps: Sequence[int], centering: Centering) -> np.ndarray:
+    """Centered mode: the `rescaled` data less one shift row, the mean of its
     first eval prefix data[:steps[0]]. Centering ignores a common shift, and
     removing a large offset before any product keeps the rounding relative to
-    the spread of the rows, not to the offset. Raw mode: `rescaled` data."""
-    data = rescaled(data)
+    the spread of the rows, not to the offset. Raw mode: the `rescaled` data."""
+    data = rescaled(matrix)
     if centering is Centering.RAW:
         return data
     return data - data[: steps[0]].mean(axis=0)
@@ -89,7 +86,7 @@ def spectral_summary(
 ) -> SpectralSummary:
     """Thin-SVD spectral summary of the (optionally centered) matrix, of any
     finite magnitude: it is `rescaled` before centering."""
-    data = center(rescaled(matrix.data), centering)
+    data = center(rescaled(matrix), centering)
     sigma = np.linalg.svd(data, compute_uv=False)
     return summary_from_singular_values(sigma)
 

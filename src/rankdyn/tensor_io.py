@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,19 +41,23 @@ DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}  # little-endian on ev
 
 @dataclass(frozen=True)
 class HiddenStateMatrix:
-    """A T-by-D matrix of hidden states."""
+    """A T-by-D matrix of hidden states: any real array, converted once to one
+    C-contiguous float64 array, checked finite, with its peak |value|."""
 
     data: np.ndarray
+    peak: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"matrix must be at least 1x1, got {arr.shape}")
-        if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):  # NaN reaches both
+        peak = max(arr.max(), -arr.min())  # NaN reaches both max and min
+        if not np.isfinite(peak):
             raise NonFiniteValue("matrix contains NaN/Inf")
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "peak", peak)
 
     @property
     def rows(self) -> int:
@@ -70,7 +74,7 @@ def write_matrix(matrix: HiddenStateMatrix, path: str | Path, dtype: str = "f64"
     if dtype not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}")
     flag = list(DTYPES).index(dtype)
-    if max(matrix.data.max(), -matrix.data.min()) > np.finfo(DTYPES[dtype]).max:
+    if matrix.peak > np.finfo(DTYPES[dtype]).max:
         raise ValueError(f"a value is outside the {dtype} range")
     payload = np.ascontiguousarray(matrix.data, dtype=DTYPES[dtype])
     if np.count_nonzero(payload) < np.count_nonzero(matrix.data):

@@ -117,7 +117,7 @@ def prefix_spectra(
     """Thin-SVD spectrum of every stride-aligned prefix and then of all T rows.
     Centered mode shifts the rows as the engines do."""
     steps = eval_steps(matrix.rows, stride, centering)
-    data = shifted(matrix.data, steps, centering)
+    data = shifted(matrix, steps, centering)
     ends = [*steps, matrix.rows]
     return [spectral_summary(HiddenStateMatrix(data[:t]), centering) for t in ends]
 

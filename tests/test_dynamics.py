@@ -123,10 +123,10 @@ def test_final_metric_covers_trailing_tokens():
 def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
     # The metric phase joins a split trajectory's ranges: each range walks the
     # same blocks, so its ERs are the whole walk's, bit for bit.
-    data = hard_fixture("power-law", rows, dims, seed=rows).data
-    whole = prefix_eranks(data, stride, centering, engine)
+    matrix = hard_fixture("power-law", rows, dims, seed=rows)
+    whole = prefix_eranks(matrix, stride, centering, engine)
     cuts = [0, 1, len(whole) // 2, len(whole) - 1, len(whole)]
-    ranges = [prefix_eranks(data, stride, centering, engine, slice(a, b))
+    ranges = [prefix_eranks(matrix, stride, centering, engine, slice(a, b))
               for a, b in zip(cuts, cuts[1:])]
     assert np.concatenate(ranges).tobytes() == whole.tobytes()
 
@@ -135,22 +135,23 @@ def test_solve_ranges_keep_the_bits(engine, centering, rows, dims, stride):
 def test_a_stepped_solve_range_is_refused(engine):
     # A step would pick every second end, and the walk solves contiguous
     # ranges only; an empty range solves nothing.
-    data = hard_fixture("gaussian", 100, 8, seed=0).data
+    matrix = hard_fixture("gaussian", 100, 8, seed=0)
     with pytest.raises(ValueError, match="step 1, not 2"):
-        prefix_eranks(data, 10, Centering.RAW, engine, slice(None, None, 2))
-    whole = prefix_eranks(data, 10, Centering.RAW, engine, slice(None, None, 1))
+        prefix_eranks(matrix, 10, Centering.RAW, engine, slice(None, None, 2))
+    whole = prefix_eranks(matrix, 10, Centering.RAW, engine, slice(None, None, 1))
     assert whole.size == len(eval_steps(100, 10)) + 1
     for empty in (slice(3, 3), slice(5, 2), slice(whole.size, None)):
-        assert prefix_eranks(data, 10, Centering.RAW, engine, empty).shape == (0,)
+        assert prefix_eranks(matrix, 10, Centering.RAW, engine, empty).shape == (0,)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("engine", Engine)
 @pytest.mark.parametrize("centering", Centering)
 def test_the_walk_reads_any_real_rows_as_their_float64_copy(engine, centering):
-    # The walk converts its rows once to a C-contiguous float64 array, so each
-    # input gets the ERs of that copy, bit for bit. The ends lie on both sides
-    # of D = 24; the massive-activation columns make a float32 walk drift most.
+    # HiddenStateMatrix converts its rows once to a C-contiguous float64 array
+    # and keeps their peak |value|, so each input gets the ERs of that copy, bit
+    # for bit. The ends lie on both sides of D = 24; the massive-activation
+    # columns make a float32 walk drift most.
     rows = hard_fixture("massive", 61, 48, seed=61).data[:, ::2]
     inputs = {
         "float32": rows.astype(np.float32),
@@ -159,8 +160,13 @@ def test_the_walk_reads_any_real_rows_as_their_float64_copy(engine, centering):
         "int64": np.rint(rows * 100).astype(np.int64),
     }
     for name, data in inputs.items():
-        want = prefix_eranks(np.ascontiguousarray(data, np.float64), 5, centering, engine)
-        assert prefix_eranks(data, 5, centering, engine).tobytes() == want.tobytes(), name
+        copy = np.ascontiguousarray(data, np.float64)
+        matrix = HiddenStateMatrix(data)
+        assert matrix.data.dtype == np.float64 and matrix.data.flags.c_contiguous, name
+        assert matrix.data.tobytes() == copy.tobytes(), name
+        assert matrix.peak == np.abs(matrix.data).max(), name
+        want = prefix_eranks(HiddenStateMatrix(copy), 5, centering, engine)
+        assert prefix_eranks(matrix, 5, centering, engine).tobytes() == want.tobytes(), name
 
 
 @pytest.mark.filterwarnings("error")
@@ -179,13 +185,13 @@ def test_the_walk_refuses_nonfinite_rows_and_strides_with_no_end(
     for value in (np.nan, np.inf, -np.inf):
         bad = data.copy()
         bad[12, 3] = value
-        with pytest.raises(NonFiniteValue, match="rows contain NaN or Inf"):
-            prefix_eranks(bad, 5, centering, engine)
+        with pytest.raises(NonFiniteValue, match="matrix contains NaN/Inf"):
+            prefix_eranks(HiddenStateMatrix(bad), 5, centering, engine)
     with pytest.raises(ValueError, match="stride must be >= 1"):
-        prefix_eranks(data, 0, centering, engine)
+        prefix_eranks(HiddenStateMatrix(data), 0, centering, engine)
     for stride in (30, 31):
         with pytest.raises(TrajectoryTooShort):
-            prefix_eranks(data, stride, centering, engine)
+            prefix_eranks(HiddenStateMatrix(data), stride, centering, engine)
 
 
 @pytest.mark.parametrize(
@@ -216,10 +222,10 @@ def test_a_late_range_builds_only_the_blocks_it_solves(monkeypatch, rows, engine
     count(np, "outer")
     count(dynamics, "row_factor")
     centering = Centering.ROW_MEAN_CENTERED
-    data = hard_fixture("power-law", rows, 24, seed=rows).data
-    last = prefix_eranks(data, 5, centering, engine, slice(-1, None))
+    matrix = hard_fixture("power-law", rows, 24, seed=rows)
+    last = prefix_eranks(matrix, 5, centering, engine, slice(-1, None))
     assert calls == counts
-    assert last.tobytes() == prefix_eranks(data, 5, centering, engine)[-1:].tobytes()
+    assert last.tobytes() == prefix_eranks(matrix, 5, centering, engine)[-1:].tobytes()
 
 
 def test_walk_flops_counts_each_kernel():

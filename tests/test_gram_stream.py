@@ -13,7 +13,7 @@ from rankdyn import (
 )
 from rankdyn import lapack
 from rankdyn.dynamics import eval_steps, prefix_eranks
-from rankdyn.errors import DegenerateMatrix
+from rankdyn.errors import DegenerateMatrix, NonFiniteValue
 from rankdyn.gram_stream import EIGENVALUE_CLAMP, GramStreamState
 from rankdyn.spectral import shifted, summary_from_singular_values
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture
@@ -113,7 +113,7 @@ def test_chunking_associativity():
 def test_single_prefix_equals_one_shot():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((9, 5))
-    series = prefix_eranks(data, 8, Centering.RAW, Engine.INCREMENTAL_GRAM)
+    series = prefix_eranks(HiddenStateMatrix(data), 8, Centering.RAW, Engine.INCREMENTAL_GRAM)
     direct = spectral_summary(HiddenStateMatrix(data[:8])).effective_rank
     assert series[0] == pytest.approx(direct, rel=1e-10)
 
@@ -125,7 +125,7 @@ def test_a_walk_within_d_builds_no_scatter():
     data = np.random.default_rng(8).standard_normal((rows, dims))
     tracemalloc.start()
     try:
-        prefix_eranks(data, 40, Centering.RAW, Engine.INCREMENTAL_GRAM)
+        prefix_eranks(HiddenStateMatrix(data), 40, Centering.RAW, Engine.INCREMENTAL_GRAM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,7 +158,9 @@ def test_stream_matches_naive_series_centered(stride):
 def test_centered_stream_stride_one_starts_at_two_rows():
     # a one-row prefix cannot be centered, so both engines start at t=2
     data = np.random.default_rng(9).standard_normal((5, 3))
-    streamed = prefix_eranks(data, 1, Centering.ROW_MEAN_CENTERED, Engine.INCREMENTAL_GRAM)
+    streamed = prefix_eranks(
+        HiddenStateMatrix(data), 1, Centering.ROW_MEAN_CENTERED, Engine.INCREMENTAL_GRAM
+    )
     factor = prefix_metric_series(
         HiddenStateMatrix(data), 1, Centering.ROW_MEAN_CENTERED, Engine.FACTOR
     )
@@ -169,7 +171,7 @@ def test_centered_stream_stride_one_starts_at_two_rows():
 def gram_prefix_eranks_with_temporaries(data, steps, centering):
     """The engine as it was before its in-place solve: a centered copy of each
     prefix's Gram matrix, solved by np.linalg.eigvalsh."""
-    data = shifted(data, steps, centering)
+    data = shifted(HiddenStateMatrix(data), steps, centering)
     rows, dims = data.shape
     centered = centering is Centering.ROW_MEAN_CENTERED
     ends = [*steps, rows]
@@ -197,8 +199,8 @@ def gram_prefix_eranks_with_temporaries(data, steps, centering):
 
 # (T, D, stride, column step): T < D, T = D and T > D, at stride 1 and at
 # strides that leave a tail. The last takes every second column of a wider
-# fixture, which the walk converts to a C-contiguous copy: it gets that
-# copy's ERs.
+# fixture, which HiddenStateMatrix converts to a C-contiguous copy: it gets
+# that copy's ERs.
 IN_PLACE_SHAPES = [
     (17, 24, 1, 1), (17, 24, 5, 1), (24, 24, 1, 1), (24, 24, 5, 1), (64, 24, 1, 1),
     (61, 24, 8, 1), (130, 200, 7, 2),
@@ -219,5 +221,18 @@ def test_in_place_solve_keeps_the_bits(monkeypatch, kernel, centering, shape):
     ]
     for fixture, data in zip(FIXTURES, inputs):
         want = gram_prefix_eranks_with_temporaries(np.ascontiguousarray(data), steps, centering)
-        got = prefix_eranks(data, stride, centering, Engine.INCREMENTAL_GRAM)
+        got = prefix_eranks(HiddenStateMatrix(data), stride, centering, Engine.INCREMENTAL_GRAM)
         assert (got == want).all(), fixture
+
+
+@pytest.mark.parametrize("kernel", ["dsyevd", "numpy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_nonfinite_gram_raises_nonfinite_value(monkeypatch, kernel, value):
+    # A NaN or infinite row of Z reaches the diagonal of Z Z^T, so its trace:
+    # the solve refuses it on both eigensolver paths before either runs.
+    if kernel == "numpy":  # the fallback of lapack.eigvalsh
+        monkeypatch.setattr(lapack, "eig_kernel", lambda: None)
+    rows = np.random.default_rng(10).standard_normal((6, 4))
+    rows[2, 1] = value
+    with pytest.raises(NonFiniteValue, match="Gram matrix contains NaN or Inf"):
+        erank_from_gram(rows @ rows.T)

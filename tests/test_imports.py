@@ -58,3 +58,16 @@ def test_cli_holds_no_process_code():
     process = {"contextlib", "ctypes", "math", "pickle", "select", "signal"}
     assert [m for m in imported_modules("cli.py") if m.split(".")[0] in process] == []
     assert [m for m in imported_modules("batch.py") if m.split(".")[:2] == ["rankdyn", "cli"]] == []
+
+
+def test_only_the_matrix_and_the_gram_solve_raise_nonfinite_value():
+    """Hidden states are checked once, when a HiddenStateMatrix is made (tensor_io.py);
+    the Gram solve checks its own input (gram_stream.py). No other module builds the error."""
+    builders = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "NonFiniteValue"
+    }
+    assert builders == {"tensor_io.py", "gram_stream.py"}

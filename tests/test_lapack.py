@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankdyn import lapack, write_matrix
+from rankdyn import HiddenStateMatrix, lapack, write_matrix
 from rankdyn.dynamics import Engine, prefix_eranks
 from rankdyn.spectral import Centering
 from rankdyn.verify import FIXTURES, engine_drifts, hard_fixture
@@ -82,9 +82,9 @@ def without_kernels(monkeypatch, run, binder="qr_kernels"):
 def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, shape):
     rows, dims, stride = shape
     matrix = hard_fixture(fixture, rows, dims, seed=rows + dims + stride)
-    kernel = prefix_eranks(matrix.data, stride, centering, Engine.FACTOR)
+    kernel = prefix_eranks(matrix, stride, centering, Engine.FACTOR)
     fallback = without_kernels(
-        monkeypatch, lambda: prefix_eranks(matrix.data, stride, centering, Engine.FACTOR)
+        monkeypatch, lambda: prefix_eranks(matrix, stride, centering, Engine.FACTOR)
     )
     np.testing.assert_allclose(kernel, fallback, rtol=1e-12, atol=0)
     drift = engine_drifts(matrix, stride, centering)[Engine.FACTOR]
@@ -99,11 +99,12 @@ def test_numpy_fallback_agrees_with_kernels(monkeypatch, fixture, centering, sha
 @pytest.mark.parametrize("centering", Centering)
 @pytest.mark.parametrize("rows,dims,step", [(130, 24, 1), (50, 64, 1), (50, 64, 2)])
 def test_engines_leave_data_unchanged(engine, stride, centering, rows, dims, step):
-    # step 2 takes every second column of a wider fixture, which the walk
-    # copies to a C-contiguous array; the caller's array is never written.
+    # step 2 takes every second column of a wider fixture, which HiddenStateMatrix
+    # copies to a C-contiguous array; step 1 shares the caller's array, which the
+    # engines never write.
     data = hard_fixture("gaussian", rows, dims * step, seed=stride).data[:, ::step]
     before = data.copy()
-    prefix_eranks(data, stride, centering, engine)
+    prefix_eranks(HiddenStateMatrix(data), stride, centering, engine)
     assert np.array_equal(data, before)
 
 

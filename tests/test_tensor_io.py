@@ -276,6 +276,8 @@ def test_round_trip_property(tmp_path_factory, rows, cols, seed):
 def test_matrix_invariants():
     with pytest.raises(DimensionMismatch):
         HiddenStateMatrix(np.ones(3))
+    with pytest.raises(DimensionMismatch, match="ndim=0"):  # not promoted to 1-D
+        HiddenStateMatrix(np.float64(1.0))
     with pytest.raises(DimensionMismatch):
         HiddenStateMatrix(np.ones((0, 3)))
     with pytest.raises(NonFiniteValue):
